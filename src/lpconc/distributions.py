@@ -6,9 +6,13 @@ is the numerical backbone of the rate engine, so it is organized to stay
 accurate for exponents p anywhere between 1e-6 and a few hundred:
 
 * discrete laws evaluate log E[exp(s*t*|x|^p)] by logsumexp,
-* continuous laws integrate a peak-shifted integrand, switching to the
-  u = x^p coordinate for p < 1 where the x-domain integrand degenerates
-  into a boundary spike.
+* continuous laws integrate in the u = x^p coordinate for p < 1, where the
+  x-domain integrand degenerates into a boundary spike, and in x otherwise.
+  A probe grid, refined geometrically toward both ends of the support,
+  finds the peak of the log-integrand and the window within _LOG_TRUNC of
+  it; one fixed composite Gauss-Legendre rule over that window, evaluated
+  as a single numpy array and shifted by its largest node value, gives the
+  log-integral.
 """
 from __future__ import annotations
 
@@ -18,18 +22,18 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, logsumexp, ndtr
 
 from .seeding import generator
-
-QUAD_EPSABS = 1e-10
-QUAD_EPSREL = 1e-8
 
 # switch the MGF integral to the u = x^p coordinate below this p
 _POWER_COORD_P = 1.0
 # drop integrand contributions this far (in log) below the peak
 _LOG_TRUNC = 80.0
+# composite Gauss-Legendre rule: points per panel, uniform panels per window
+_GL_ORDER = 16
+_WINDOW_PANELS = 64
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 def as_sign(sign) -> int:
@@ -44,37 +48,45 @@ def as_sign(sign) -> int:
 def _log_integral(log_weight, lo: float, hi: float, probes: np.ndarray) -> float:
     """log of the integral of exp(log_weight(u)) over (lo, hi).
 
-    The integrand is shifted by its probed peak so quadrature only ever
-    sees well-scaled values; the probe grid must already resolve the
-    peak's location to within the adaptive scheme's reach.
+    The probes locate the peak and the window of probes whose log-integrand
+    lies within _LOG_TRUNC of it, widened by one probe on each side.  A
+    composite _GL_ORDER-point Gauss-Legendre rule covers that window, with
+    panel edges at every probe inside it (so the probe grid's geometric
+    refinement toward an endpoint grades the panels there) plus
+    _WINDOW_PANELS uniform panels.  log_weight is evaluated once, on all
+    nodes, and the sum is shifted by the largest node value, so no node
+    value is clipped however far it rises above the probes.
     """
     vals = np.asarray(log_weight(probes), dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
         return -math.inf
-    shift = float(vals[finite].max())
-    peak = float(probes[finite][int(np.argmax(vals[finite]))])
-
-    def f(u: float) -> float:
-        v = float(log_weight(np.asarray([u]))[0]) - shift
-        if v < -745.0:
-            return 0.0
-        return math.exp(min(v, 60.0))
-
-    inner = [peak] if lo < peak < hi else None
-    val, _ = integrate.quad(
-        f, lo, hi, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=200, points=inner
+    inside = np.flatnonzero(vals >= vals[finite].max() - _LOG_TRUNC)
+    first, last = inside[0], inside[-1]
+    a = probes[first - 1] if first > 0 else lo
+    b = probes[last + 1] if last + 1 < probes.size else hi
+    edges = np.unique(
+        np.concatenate([probes[first : last + 1], np.linspace(a, b, _WINDOW_PANELS + 1)])
     )
-    if val <= 0.0:
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_NODES
+    weights = half * _GL_WEIGHTS
+    lv = np.asarray(log_weight(nodes.ravel()), dtype=float)
+    keep = np.isfinite(lv)
+    if not keep.any():
         return -math.inf
-    return shift + math.log(val)
+    shift = float(lv[keep].max())
+    return shift + math.log(float(weights.ravel()[keep] @ np.exp(lv[keep] - shift)))
 
 
 def _probe_grid(lo: float, hi: float, extra: Sequence[float] = ()) -> np.ndarray:
+    """Probe points in (lo, hi]: uniform, plus geometric toward both ends."""
+    offsets = (hi - lo) * np.geomspace(1e-12, 1.0, 97)
     pts = np.concatenate(
         [
             np.linspace(lo, hi, 241)[1:],
-            lo + (hi - lo) * np.geomspace(1e-12, 1.0, 97),
+            lo + offsets,
+            hi - offsets[:-1],
             np.asarray([x for x in extra if lo < x < hi], dtype=float),
         ]
     )
@@ -674,22 +686,6 @@ class AssumptionReport:
     a4_holds: bool
     p1: float | None
     atom_at_zero: float
-
-
-def mu_p(dist: Distribution, p: float) -> float:
-    return dist.mu_p(p)
-
-
-def mgf_abs_p(dist: Distribution, t: float, p: float, sign) -> float:
-    return dist.mgf_abs_p(t, p, sign)
-
-
-def neg_moment(dist: Distribution, y: float) -> float:
-    return dist.neg_moment(y)
-
-
-def log_moments(dist: Distribution) -> tuple[float, float]:
-    return dist.log_moments()
 
 
 def moment_report(dist: Distribution, p: float) -> MomentReport:

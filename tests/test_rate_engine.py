@@ -153,6 +153,18 @@ def test_rate_endpoint_p_zero_matches_small_p():
         assert res.value == pytest.approx(small_p_rate(dist, delta, sign), rel=1e-12)
 
 
+@pytest.mark.parametrize("dist", [UniformUnit(), DiffUniform(), StandardNormal()], ids=repr)
+@pytest.mark.parametrize("p", [1e-6, 1e-4])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_rate_at_tiny_p_approaches_the_small_p_limit(dist, p, sign):
+    # the u = x^p mass sits within about p of the top of the support here,
+    # so a quadrature that does not resolve that end collapses the rate
+    res = rate(dist, p, 0.1, sign)
+    assert res.regime == REGIME_INTERIOR
+    assert res.tolerance_met
+    assert res.value == pytest.approx(small_p_rate(dist, 0.1, sign), rel=1e-3)
+
+
 def test_rate_endpoint_p_inf_matches_large_p():
     res = rate(UniformUnit(), math.inf, 0.5, -1)
     assert res.regime == REGIME_LARGE_P
