@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 from scipy.stats import wasserstein_distance
 
+from .monte_carlo import _row_logsumexp
 from .seeding import generator
 
 __all__ = [
@@ -327,20 +328,21 @@ def concentration_curve(
         if not p > 0:
             raise ValueError("p values must be positive")
         if normalization == "pooled":
+            row_log_sums = _row_logsumexp(p * logs)
             # log of n * mu_p with mu_p pooled over all entries
-            log_total = logsumexp(p * logs) - math.log(data.M)
+            log_total = logsumexp(row_log_sums) - math.log(data.M)
             if not np.isfinite(log_total):
                 fractions.append(math.nan)
                 flagged.append(True)
                 continue
-            log_ratio = (logsumexp(p * logs, axis=1) - log_total) / p
+            log_ratio = (row_log_sums - log_total) / p
         else:
-            col_log_mu = logsumexp(p * logs, axis=0) - math.log(data.M)
+            col_log_mu = _row_logsumexp(p * logs.T) - math.log(data.M)
             if not np.all(np.isfinite(col_log_mu)):
                 fractions.append(math.nan)
                 flagged.append(True)
                 continue
-            scaled = logsumexp(p * logs - col_log_mu, axis=1)
+            scaled = _row_logsumexp(p * logs - col_log_mu)
             log_ratio = (scaled - math.log(data.n)) / p
         inside = np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi))
         fractions.append(inside / data.M)

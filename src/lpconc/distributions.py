@@ -159,15 +159,6 @@ class Distribution:
             return math.inf
         return self._log_mgf(t, p, s)
 
-    def mgf_abs_p(self, t: float, p: float, sign) -> float:
-        lm = self.log_mgf_abs_p(t, p, sign)
-        if lm == math.inf:
-            return math.inf
-        try:
-            return math.exp(lm)
-        except OverflowError:
-            return math.inf
-
     def _log_mgf(self, t: float, p: float, s: int) -> float:
         raise NotImplementedError
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .monte_carlo import CHUNK_TARGET_ENTRIES, log_lp_norms, wilson_halfwidth
+from .monte_carlo import _chunk_plan, _row_logsumexp, log_lp_norms, wilson_halfwidth
 from .seeding import derive_seed, generator
 
 __all__ = [
@@ -88,23 +88,13 @@ def _draw_rows(kind: EmbeddingKind, rng: np.random.Generator, rows: int) -> np.n
     raise ValueError(f"unknown embedding kind {kind.name!r}")
 
 
-def _row_chunks(total_rows: int, dim: int) -> list[tuple[int, int]]:
-    per = max(1, CHUNK_TARGET_ENTRIES // dim)
-    out = []
-    start, index = 0, 0
-    while start < total_rows:
-        out.append((index, min(per, total_rows - start)))
-        start += out[-1][1]
-        index += 1
-    return out
-
-
 def generate(kind: EmbeddingKind, M: int, seed: int) -> np.ndarray:
     """M rows of the population; chunk i draws from stream (seed, i)."""
     if M < 1:
         raise ValueError("M must be a positive integer")
     parts = [
-        _draw_rows(kind, generator(seed, index), rows) for index, rows in _row_chunks(M, kind.dim)
+        _draw_rows(kind, generator(seed, index), rows)
+        for index, _, rows in _chunk_plan(M, kind.dim)
     ]
     return np.vstack(parts)
 
@@ -177,8 +167,9 @@ def concentration_table(
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(batch))
         for p in p_grid:
-            row_lognorm = logsumexp(p * logs, axis=1) / p
-            pooled = logsumexp(p * logs) - math.log(batch.size)
+            row_log_sums = _row_logsumexp(p * logs)
+            row_lognorm = row_log_sums / p
+            pooled = logsumexp(row_log_sums) - math.log(batch.size)
             log_ratio = row_lognorm - (math.log(kind.dim) + pooled) / p
             inside = int(np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi)))
             cells.append(

@@ -1,9 +1,12 @@
 """Seeded, parallel Monte Carlo for concentration and contrast frequencies.
 
 Work is split into fixed-size chunks of rows; chunk i draws from an
-independent counter-based stream keyed by (seed, i).  Per-chunk results are
-integers (or index-ordered reductions), so totals do not depend on worker
-count or scheduling: identical inputs and seed give bit-identical output.
+independent counter-based stream keyed by (seed, i).  Each chunk returns the
+log l_p norms of its rows, and the chunks are concatenated in chunk-index
+order before anything is counted or pooled, so results do not depend on
+worker count or scheduling: identical inputs and seed give bit-identical
+output.  Every entry is drawn once; the empirical mean of |entry|^p is
+pooled from the row norms.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ __all__ = [
 
 # rows per chunk are sized so a chunk holds about this many entries
 CHUNK_TARGET_ENTRIES = 1 << 22
+# log_lp_norms reduces a block of rows at a time, about this many entries
+# (1 MiB): after the one read of the input every pass stays in a core's L2
+# instead of streaming a chunk-sized temporary through memory, and each numpy
+# call is still long enough that chunk threads seldom wait on the GIL
+_BLOCK_ENTRIES = 1 << 17
 
 _WILSON_Z = 1.959963984540054
 
@@ -43,6 +51,21 @@ DEFAULT_P_GRID = tuple(float(p) for p in np.geomspace(1e-3, 10.0, 30))
 DEFAULT_N_GRID = (10, 30, 100, 300, 1000, 3000)
 
 NORMALIZATIONS = ("analytic-mu", "empirical-mu")
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, overwriting a.
+
+    Each row is shifted by its maximum (0 for a row of -inf), so exp never
+    overflows and the largest term is exactly 1.  Callers pass a temporary
+    they own.
+    """
+    shift = a.max(axis=-1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    a -= shift
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        return np.log(a.sum(axis=-1)) + shift[..., 0]
 
 
 def log_lp_norms(values: np.ndarray, p: float) -> np.ndarray:
@@ -54,9 +77,18 @@ def log_lp_norms(values: np.ndarray, p: float) -> np.ndarray:
     """
     if not p > 0:
         raise ValueError("p must be positive")
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(values))
-    return logsumexp(p * logs, axis=-1) / p
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    rows = values.reshape(-1, n)
+    out = np.empty(rows.shape[0])
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, rows.shape[0], step):
+        a = np.abs(rows[start : start + step])
+        with np.errstate(divide="ignore"):
+            np.log(a, out=a)
+        a *= p
+        out[start : start + step] = _row_logsumexp(a)
+    return out.reshape(values.shape[:-1]) / p
 
 
 def lp_norms(values: np.ndarray, p: float) -> np.ndarray:
@@ -111,40 +143,39 @@ def _map_chunks(fn: Callable, plan: Sequence[tuple[int, int, int]], workers: int
         return list(pool.map(fn, plan))
 
 
-def _pooled_log_mu(
-    dist: Distribution, n: int, p: float, M: int, seed: int, workers: int | None, pair: bool
-) -> float:
-    """log of the pooled mean of |entry|^p over the full sample."""
-    shape_cols = (2, n) if pair else (n,)
+def _sample_log_norms(
+    dist: Distribution, shape: tuple[int, ...], p: float, M: int, seed: int, workers: int | None
+) -> np.ndarray:
+    """Row log-norms of M draws of the given row shape, in chunk order."""
 
-    def one(chunk: tuple[int, int, int]) -> float:
+    def one(chunk: tuple[int, int, int]) -> np.ndarray:
         index, _, rows = chunk
-        x = dist.draw(generator(seed, index), (rows, *shape_cols))
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(x))
-        return float(logsumexp(p * logs))
+        return log_lp_norms(dist.draw(generator(seed, index), (rows, *shape)), p)
 
-    plan = _chunk_plan(M, n * (2 if pair else 1))
-    parts = _map_chunks(one, plan, workers)
-    total_entries = M * n * (2 if pair else 1)
-    return float(logsumexp(np.array(parts))) - math.log(total_entries)
+    return np.concatenate(_map_chunks(one, _chunk_plan(M, math.prod(shape)), workers))
 
 
-def _log_mu(
-    dist: Distribution,
-    n: int,
-    p: float,
-    M: int,
-    seed: int,
-    normalization: str,
-    workers: int | None,
-    pair: bool = False,
-) -> float:
+def _checked_log_mu(log_mu: float) -> float:
+    if not math.isfinite(log_mu):
+        raise ValueError("normalization mean is zero or non-finite for this p")
+    return log_mu
+
+
+def _law_log_mu(dist: Distribution, p: float, normalization: str) -> float | None:
+    """log of the law's mean of |entry|^p under analytic-mu, checked before
+    anything is drawn; None under empirical-mu, which pools it from the
+    sample (see _sample_log_mu)."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-    if normalization == "analytic-mu":
-        return math.log(dist.mu_p(p))
-    return _pooled_log_mu(dist, n, p, M, seed, workers, pair)
+    if normalization == "empirical-mu":
+        return None
+    return _checked_log_mu(math.log(dist.mu_p(p)))
+
+
+def _sample_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:
+    """log of the mean of |entry|^p over a sample of that many entries,
+    pooled from its row log-norms."""
+    return _checked_log_mu(float(logsumexp(p * log_norms)) - math.log(entries))
 
 
 def concentration_frequency(
@@ -169,22 +200,15 @@ def concentration_frequency(
         raise ValueError("n must be a positive integer")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    log_mu = _log_mu(dist, n, p, M, seed, normalization, workers)
-    if log_mu == -math.inf or not math.isfinite(log_mu):
-        raise ValueError("normalization mean is zero or non-finite for this p")
+    log_mu = _law_log_mu(dist, p, normalization)
+    log_norms = _sample_log_norms(dist, (n,), p, M, seed, workers)
+    if log_mu is None:
+        log_mu = _sample_log_mu(log_norms, p, M * n)
     lo = math.log1p(-delta) if delta < 1.0 else -math.inf
     hi = math.log1p(delta)
     # log of (n * mu)^(1/p); log_lp_norms already carries the 1/p
-    shift = (math.log(n) + log_mu) / p
-
-    def one(chunk: tuple[int, int, int]) -> int:
-        index, _, rows = chunk
-        x = dist.draw(generator(seed, index), (rows, n))
-        log_ratio = log_lp_norms(x, p) - shift
-        return int(np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi)))
-
-    counts = _map_chunks(one, _chunk_plan(M, n), workers)
-    inside = sum(counts)
+    log_ratio = log_norms - (math.log(n) + log_mu) / p
+    inside = int(np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi)))
     return inside / M, wilson_halfwidth(inside, M)
 
 
@@ -321,44 +345,29 @@ def relative_contrast(
         raise ValueError("M must be at least 100")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    log_mu = _log_mu(dist, n, p, M, seed, normalization, workers, pair=True)
-    if not math.isfinite(log_mu):
-        raise ValueError("normalization mean is zero or non-finite for this p")
-    shift = (math.log(n) + log_mu) / p
+    log_mu = _law_log_mu(dist, p, normalization)
+    log_norm = _sample_log_norms(dist, (2, n), p, M, seed, workers)
+    if log_mu is None:
+        log_mu = _sample_log_mu(log_norm, p, 2 * M * n)
     half_lo, half_hi = math.log1p(-delta / 2.0), math.log1p(delta / 2.0)
-
-    def one(chunk: tuple[int, int, int]) -> tuple[int, int, int, np.ndarray]:
-        index, _, rows = chunk
-        x = dist.draw(generator(seed, index), (rows, 2, n))
-        log_norm = log_lp_norms(x, p)
-        log_r = log_norm - shift
-        r1, r2 = log_r[:, 0], log_r[:, 1]
-        valid = r1 > -math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.abs(np.exp(r1) - np.exp(r2))
-        below = int(np.count_nonzero(valid & (diff < delta)))
-        joint = int(
-            np.count_nonzero(
-                (r1 >= half_lo) & (r1 <= half_hi) & (r2 >= half_lo) & (r2 <= half_hi)
-            )
-        )
-        with np.errstate(over="ignore", invalid="ignore"):
-            gap = log_norm[:, 1] - log_norm[:, 0]
-            rc = np.abs(np.expm1(gap[valid]))
-        return below, joint, int(rows - valid.sum()), rc
-
-    parts = _map_chunks(one, _chunk_plan(M, 2 * n), workers)
-    below = sum(part[0] for part in parts)
-    joint = sum(part[1] for part in parts)
-    skipped = sum(part[2] for part in parts)
-    rc_all = np.concatenate([part[3] for part in parts]) if parts else np.array([])
+    log_r = log_norm - (math.log(n) + log_mu) / p
+    r1, r2 = log_r[:, 0], log_r[:, 1]
+    valid = r1 > -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(np.exp(r1) - np.exp(r2))
+        rc = np.abs(np.expm1(log_norm[valid, 1] - log_norm[valid, 0]))
+    below = int(np.count_nonzero(valid & (diff < delta)))
+    joint = int(
+        np.count_nonzero((r1 >= half_lo) & (r1 <= half_hi) & (r2 >= half_lo) & (r2 <= half_hi))
+    )
+    skipped = int(M - valid.sum())
     valid_pairs = M - skipped
     if valid_pairs <= 0:
         raise ValueError("every pair had a zero first norm")
     return ContrastSummary(
         p=p,
         n=n,
-        median_rc=float(np.median(rc_all)),
+        median_rc=float(np.median(rc)),
         freq_below_delta=below / valid_pairs,
         delta=delta,
         pairs=M,

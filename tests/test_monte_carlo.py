@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import binom, norm
 
+from lpconc import monte_carlo
 from lpconc.distributions import StandardNormal, TwoPoint, UniformSymmetric, UniformUnit
 from lpconc.monte_carlo import (
     concentration_frequency,
@@ -55,6 +59,78 @@ def test_log_lp_norms_row_shapes_and_zero_rows():
     assert lp_norms(x, 2.0)[1] == 0.0
     with pytest.raises(ValueError):
         log_lp_norms(x, 0.0)
+
+
+KERNEL_P = (1e-6, 0.01, 0.5, 1.0, 2.0, 10.0, 300.0)
+
+
+def _wide_range_sample(rng, shape):
+    """Signed entries with magnitudes 1e-300..1e300, about 10% zeros, and
+    every fifth slice along the first axis all zero."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[::5] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("p", KERNEL_P)
+@pytest.mark.parametrize("shape", [(40, 300), (20, 2, 150)])
+def test_log_lp_norms_matches_scipy_logsumexp(p, shape):
+    x = _wide_range_sample(np.random.default_rng(12345), shape)
+    with np.errstate(divide="ignore"):
+        expected = logsumexp(p * np.log(np.abs(x)), axis=-1) / p
+    got = log_lp_norms(x, p)
+    assert got.shape == shape[:-1]
+    zero_rows = ~np.any(x, axis=-1)
+    assert zero_rows.any() and np.all(got[zero_rows] == -np.inf)
+    np.testing.assert_allclose(got[~zero_rows], expected[~zero_rows], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("block_entries", [1, 700, 1000, 1 << 30])
+@pytest.mark.parametrize("shape", [(23, 300), (11, 2, 150)])
+def test_log_lp_norms_bits_do_not_depend_on_the_row_block(monkeypatch, block_entries, shape):
+    # rows are reduced a block at a time; blocks of one row, of uneven
+    # length and of the whole array must all give the same bits
+    x = _wide_range_sample(np.random.default_rng(99), shape)
+    whole = log_lp_norms(x, 0.5)
+    monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", block_entries)
+    np.testing.assert_array_equal(log_lp_norms(x, 0.5), whole)
+
+
+_entries = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(1e-100, 1e100),
+        st.floats(-1e100, -1e-100),
+    ),
+    min_size=1,
+    max_size=40,
+)
+_property_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@_property_settings
+@given(_entries, st.sampled_from(KERNEL_P), st.floats(1e-50, 1e50))
+def test_log_lp_norms_scale_with_the_vector(values, p, c):
+    x = np.array(values)
+    base = float(log_lp_norms(x, p))
+    scaled = float(log_lp_norms(c * x, p))
+    if base == -math.inf:
+        assert scaled == -math.inf
+    else:
+        assert scaled == pytest.approx(math.log(c) + base, rel=1e-12, abs=1e-12)
+
+
+@_property_settings
+@given(_entries, st.sampled_from(KERNEL_P), st.sampled_from(KERNEL_P))
+def test_log_lp_norms_never_increase_in_p(values, p, q):
+    x = np.array(values)
+    lower, upper = sorted((p, q))
+    small_p, large_p = float(log_lp_norms(x, lower)), float(log_lp_norms(x, upper))
+    if not x.any():
+        assert small_p == large_p == -math.inf
+    else:
+        assert large_p <= small_p + 1e-12 * max(1.0, abs(small_p))
 
 
 def test_pair_contrast_hand_values():
@@ -117,12 +193,37 @@ def test_concentration_frequency_wide_band_keeps_only_upper_constraint():
 
 def test_concentration_frequency_worker_count_is_invisible():
     # n chosen so the plan spans several chunks
-    kwargs = dict(n=2048, p=1.0, delta=0.1, M=5000, seed=42)
-    f1, c1 = concentration_frequency(UniformUnit(), workers=1, **kwargs)
-    f4, c4 = concentration_frequency(UniformUnit(), workers=4, **kwargs)
-    fd, cd = concentration_frequency(UniformUnit(), workers=None, **kwargs)
-    assert f1 == f4 == fd
-    assert c1 == c4 == cd
+    for normalization in ("analytic-mu", "empirical-mu"):
+        kwargs = dict(n=2048, p=1.0, delta=0.1, M=5000, seed=42, normalization=normalization)
+        f1, c1 = concentration_frequency(UniformUnit(), workers=1, **kwargs)
+        f4, c4 = concentration_frequency(UniformUnit(), workers=4, **kwargs)
+        fd, cd = concentration_frequency(UniformUnit(), workers=None, **kwargs)
+        assert f1 == f4 == fd
+        assert c1 == c4 == cd
+
+
+def _counting_uniform():
+    """A UniformUnit that records the size of every array it draws."""
+    drawn = []
+
+    class CountingUniform(UniformUnit):
+        def draw(self, rng, size):
+            x = super().draw(rng, size)
+            drawn.append(x.size)
+            return x
+
+    return CountingUniform(), drawn
+
+
+def test_empirical_mu_draws_each_entry_once():
+    # n chosen so the plan spans several chunks
+    n, M = 2048, 5000
+    dist, drawn = _counting_uniform()
+    concentration_frequency(dist, n, 1.0, 0.1, M, seed=4, normalization="empirical-mu")
+    assert sum(drawn) == M * n
+    dist, drawn = _counting_uniform()
+    relative_contrast(dist, n, 1.0, M, seed=4, delta=0.1, normalization="empirical-mu")
+    assert sum(drawn) == 2 * M * n
 
 
 def test_concentration_frequency_empirical_normalizer_tracks_analytic():
@@ -206,13 +307,14 @@ def test_relative_contrast_median_shrinks_with_dimension():
 
 
 def test_relative_contrast_worker_count_is_invisible():
-    kwargs = dict(n=1024, p=0.5, M=4000, seed=17, delta=0.2)
-    a = relative_contrast(UniformUnit(), workers=1, **kwargs)
-    b = relative_contrast(UniformUnit(), workers=3, **kwargs)
-    assert a.freq_below_delta == b.freq_below_delta
-    assert a.joint_half_band_freq == b.joint_half_band_freq
-    assert a.median_rc == b.median_rc
-    assert a.skipped == b.skipped
+    for normalization in ("analytic-mu", "empirical-mu"):
+        kwargs = dict(n=1024, p=0.5, M=4000, seed=17, delta=0.2, normalization=normalization)
+        a = relative_contrast(UniformUnit(), workers=1, **kwargs)
+        b = relative_contrast(UniformUnit(), workers=3, **kwargs)
+        assert a.freq_below_delta == b.freq_below_delta
+        assert a.joint_half_band_freq == b.joint_half_band_freq
+        assert a.median_rc == b.median_rc
+        assert a.skipped == b.skipped
 
 
 def test_relative_contrast_validation_and_serialization():
