@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import wasserstein_distance
 
 from .monte_carlo import _row_logsumexp
 from .seeding import generator
@@ -245,6 +244,40 @@ def mode_shift(data: Dataset, max_unique: int) -> Dataset:
     return Dataset(values, data.column_names, meta=meta)
 
 
+def _drift(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """KS statistic and exact W1 of two samples from one merged ECDF.
+
+    Both samples are sorted once; their sorted union is the grid, and the
+    gap F - G between the right-continuous empirical CDFs is read on it by
+    searchsorted.  KS is max |F - G|; W1 is the area between the CDFs,
+    sum |F - G| * diff(grid), since both are constant between grid points.
+    """
+    xs = np.sort(x)
+    ys = np.sort(y)
+    grid = np.sort(np.concatenate([xs, ys]), kind="stable")
+    gap = np.abs(
+        np.searchsorted(xs, grid, side="right") / xs.size
+        - np.searchsorted(ys, grid, side="right") / ys.size
+    )
+    return float(np.max(gap)), float(gap[:-1] @ np.diff(grid))
+
+
+def _ks_pvalue(statistic: float, m: int, n: int) -> float:
+    """Limiting Kolmogorov survival series (100 terms) at sqrt(m*n/(m+n))."""
+    if statistic == 0.0:
+        return 1.0
+    lam = math.sqrt(m * n / (m + n)) * statistic
+    tail = 2.0 * math.fsum(
+        (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 101)
+    )
+    return min(max(tail, 0.0), 1.0)
+
+
+def _check_ks_sizes(m: int, n: int) -> None:
+    if m < _MIN_KS_SIZE or n < _MIN_KS_SIZE:
+        raise ValueError(f"both samples need at least {_MIN_KS_SIZE} points")
+
+
 def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Two-sample KS statistic and asymptotic p-value.
 
@@ -252,22 +285,11 @@ def ks_two_sample(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     p-value applies the limiting Kolmogorov survival series (100 terms) at
     the effective size sqrt(m*n/(m+n)).
     """
-    xs = np.sort(np.asarray(x, dtype=float))
-    ys = np.sort(np.asarray(y, dtype=float))
-    m, n = xs.size, ys.size
-    if m < _MIN_KS_SIZE or n < _MIN_KS_SIZE:
-        raise ValueError(f"both samples need at least {_MIN_KS_SIZE} points")
-    grid = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, grid, side="right") / m
-    fy = np.searchsorted(ys, grid, side="right") / n
-    statistic = float(np.max(np.abs(fx - fy)))
-    if statistic == 0.0:
-        return 0.0, 1.0
-    lam = math.sqrt(m * n / (m + n)) * statistic
-    tail = 2.0 * math.fsum(
-        (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 101)
-    )
-    return statistic, min(max(tail, 0.0), 1.0)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_ks_sizes(x.size, y.size)
+    statistic, _ = _drift(x, y)
+    return statistic, _ks_pvalue(statistic, x.size, y.size)
 
 
 def wasserstein_1d(x: np.ndarray, y: np.ndarray) -> float:
@@ -276,7 +298,7 @@ def wasserstein_1d(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("samples must be nonempty")
-    return float(wasserstein_distance(x, y))
+    return _drift(x, y)[1]
 
 
 @dataclass(frozen=True)
@@ -414,15 +436,16 @@ def perturb_report(
     both datasets are returned side by side.  The caller decides whether
     data arrives standardized; the report only perturbs what it is given.
     """
+    _check_ks_sizes(data.M, data.M)
     perturbed = zero_impute(data, gap_prob, seed)
     statistics = []
     pvalues = []
     total = 0.0
     for j in range(data.n):
-        stat, pval = ks_two_sample(data.values[:, j], perturbed.values[:, j])
+        stat, w1 = _drift(data.values[:, j], perturbed.values[:, j])
         statistics.append(stat)
-        pvalues.append(pval)
-        total += wasserstein_1d(data.values[:, j], perturbed.values[:, j])
+        pvalues.append(_ks_pvalue(stat, data.M, data.M))
+        total += w1
     original_curve = concentration_curve(data, p_grid, delta, normalization)
     perturbed_curve = concentration_curve(perturbed, p_grid, delta, normalization)
     curves = tuple(

@@ -45,19 +45,21 @@ def as_sign(sign) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _log_integral(log_weight, lo: float, hi: float, probes: np.ndarray) -> float:
+def _log_integral(
+    log_weight, lo: float, hi: float, probes: np.ndarray, vals: np.ndarray
+) -> float:
     """log of the integral of exp(log_weight(u)) over (lo, hi).
 
-    The probes locate the peak and the window of probes whose log-integrand
-    lies within _LOG_TRUNC of it, widened by one probe on each side.  A
-    composite _GL_ORDER-point Gauss-Legendre rule covers that window, with
-    panel edges at every probe inside it (so the probe grid's geometric
-    refinement toward an endpoint grades the panels there) plus
-    _WINDOW_PANELS uniform panels.  log_weight is evaluated once, on all
-    nodes, and the sum is shifted by the largest node value, so no node
-    value is clipped however far it rises above the probes.
+    The probes, with vals = log_weight(probes), locate the peak and the
+    window of probes whose log-integrand lies within _LOG_TRUNC of it,
+    widened by one probe on each side.  A composite _GL_ORDER-point
+    Gauss-Legendre rule covers that window, with panel edges at every probe
+    inside it (so the probe grid's geometric refinement toward an endpoint
+    grades the panels there) plus _WINDOW_PANELS uniform panels.
+    log_weight is evaluated once, on all nodes, and the sum is shifted by
+    the largest node value, so no node value is clipped however far it
+    rises above the probes.
     """
-    vals = np.asarray(log_weight(probes), dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
         return -math.inf
@@ -206,10 +208,7 @@ class _ContinuousLaw(Distribution):
                 return s * t * np.power(x, p) + self._abs_logpdf(x)
 
         extra = self._stationary_points(t, p, s)
-        if not math.isfinite(self.ess_sup):
-            hi = self._expand_upper(log_weight, hi)
-        probes = _probe_grid(0.0, hi, extra)
-        return _log_integral(log_weight, 0.0, hi, probes)
+        return _log_integral(log_weight, 0.0, *self._probes(log_weight, hi, extra))
 
     def _log_mgf_power_coord(self, t: float, p: float, s: int) -> float:
         # u = x^p; du = p x^{p-1} dx keeps the small-p integrand a smooth bump
@@ -229,25 +228,42 @@ class _ContinuousLaw(Distribution):
         extra = []
         if s < 0 and t > 0:
             extra.append((1.0 / p - 1.0) / t)
-        if not math.isfinite(self.ess_sup):
-            hi = self._expand_upper(log_weight, hi)
-        probes = _probe_grid(0.0, hi, extra)
-        return _log_integral(log_weight, 0.0, hi, probes)
+        return _log_integral(log_weight, 0.0, *self._probes(log_weight, hi, extra))
 
     def _stationary_points(self, t: float, p: float, s: int) -> list[float]:
         return []
 
+    def _probes(self, log_weight, hi: float, extra: Sequence[float]):
+        """(hi, probes, vals): probes = _probe_grid(0, hi, extra), vals on them.
+
+        On unbounded support _expand_upper first doubles hi; the grid it
+        evaluated at the final hi is kept, and only the extra points are
+        evaluated and merged in, so each probe is evaluated once.
+        """
+        if math.isfinite(self.ess_sup):
+            probes = _probe_grid(0.0, hi, extra)
+            return hi, probes, np.asarray(log_weight(probes), dtype=float)
+        hi, probes, vals = self._expand_upper(log_weight, hi)
+        extra = np.asarray([x for x in extra if 0.0 < x < hi], dtype=float)
+        if extra.size:
+            probes, first = np.unique(np.concatenate([probes, extra]), return_index=True)
+            vals = np.concatenate([vals, np.asarray(log_weight(extra), dtype=float)])[first]
+        return hi, probes, vals
+
     @staticmethod
-    def _expand_upper(log_weight, hi: float) -> float:
+    def _expand_upper(log_weight, hi: float):
+        """Double hi until the log-integrand there lies _LOG_TRUNC below the
+        probed peak; return hi, its probe grid and the log-integrand on it."""
         for _ in range(200):
             probes = _probe_grid(0.0, hi)
             vals = np.asarray(log_weight(probes), dtype=float)
             peak = np.nanmax(np.where(np.isfinite(vals), vals, -np.inf))
             edge = float(log_weight(np.asarray([hi]))[0])
             if not math.isfinite(edge) or edge < peak - _LOG_TRUNC:
-                return hi
+                return hi, probes, vals
             hi *= 2.0
-        return hi
+        probes = _probe_grid(0.0, hi)
+        return hi, probes, np.asarray(log_weight(probes), dtype=float)
 
 
 @dataclass(frozen=True, repr=False)
@@ -581,9 +597,10 @@ class ZeroInflated(Distribution):
         return self.a + (1.0 - self.a) * self.base.cdf_abs_left(x)
 
     def draw(self, rng, size):
-        keep = rng.random(size) >= self.a
+        zero = rng.random(size) < self.a
         vals = self.base.draw(rng, size)
-        return np.where(keep, vals, 0.0)
+        np.copyto(vals, 0.0, where=zero)
+        return vals
 
     def spec_string(self) -> str:
         return f"zeroinflated:a={self.a:g},base={self.base.spec_string()}"

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, wasserstein_distance
 
 from lpconc.diagnostics import (
     Dataset,
@@ -234,6 +234,25 @@ def test_wasserstein_sorted_pairing_oracle():
     y = rng.normal(0.5, 2.0, 64)
     expected = float(np.mean(np.abs(np.sort(x) - np.sort(y))))
     assert wasserstein_1d(x, y) == pytest.approx(expected, rel=1e-12)
+
+
+def _zero_imputed_pair(size_x, size_y, seed):
+    # y is a shorter, zero-imputed draw of x's law: a third of its points
+    # tie at exactly 0, and x carries ties at 0 of its own
+    rng = generator(seed)
+    x = np.where(rng.random(size_x) < 0.05, 0.0, rng.normal(0.2, 1.0, size_x))
+    y = np.where(rng.random(size_y) < 0.35, 0.0, rng.normal(0.2, 1.0, size_y))
+    return x, y
+
+
+@pytest.mark.parametrize("size_x,size_y,seed", [(301, 97, 12), (40, 1000, 13), (1, 25, 14)])
+def test_wasserstein_matches_scipy_with_ties_at_zero(size_x, size_y, seed):
+    x, y = _zero_imputed_pair(size_x, size_y, seed)
+    expected = float(wasserstein_distance(x, y))
+    assert wasserstein_1d(x, y) == pytest.approx(expected, rel=1e-12)
+    assert wasserstein_1d(y, x) == pytest.approx(expected, rel=1e-12)
+    if min(size_x, size_y) >= 10:
+        assert ks_two_sample(x, y)[0] == _brute_ks(x, y)
 
 
 def test_wasserstein_hand_case_shift_and_errors():

@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from lpconc import distributions as dist_module
 from lpconc.distributions import (
     DiffUniform,
     Empirical,
@@ -214,6 +215,36 @@ def test_mgf_matches_mpmath_oracle_across_p_and_t():
                     )
 
 
+def test_unbounded_mgf_evaluates_each_probe_grid_once(monkeypatch):
+    # plus side at p=1.5, t=5: the stationary point (t p)^(1/(2-p)) = 56.25
+    # lies beyond the tail cut 42, so the upper limit doubles once to 84
+    built = []
+    probe_grid = dist_module._probe_grid
+
+    def counting(lo, hi, extra=()):
+        built.append(hi)
+        return probe_grid(lo, hi, extra)
+
+    monkeypatch.setattr(dist_module, "_probe_grid", counting)
+    StandardNormal().log_mgf_abs_p(5.0, 1.5, "+")
+    assert built == [42.0, 84.0]
+
+
+def test_expanded_probe_grid_merges_the_stationary_points():
+    normal = StandardNormal()
+    t, p = 5.0, 1.5
+
+    def log_weight(x):
+        return t * np.power(x, p) + normal._abs_logpdf(x)
+
+    extra = normal._stationary_points(t, p, +1)
+    hi, probes, vals = normal._probes(log_weight, 42.0, extra)
+    assert hi == 84.0
+    expected = dist_module._probe_grid(0.0, hi, extra)
+    assert np.array_equal(probes, expected)
+    assert np.array_equal(vals, log_weight(expected))
+
+
 def test_neg_moment_closed_forms():
     u = UniformUnit()
     assert u.neg_moment(0.5) == pytest.approx(2.0, rel=1e-10)
@@ -246,6 +277,25 @@ def test_draws_are_deterministic_and_distributed():
         mu1 = dist.mu_p(1.0)
         sd = math.sqrt(max(dist.mu_p(2.0) - mu1**2, 1e-12) / a.size)
         assert abs(mean - mu1) < 5 * sd
+
+
+def test_zero_inflated_draw_zeroes_the_base_draw_in_place():
+    returned = []
+
+    class RecordingNormal(StandardNormal):
+        def draw(self, rng, size):
+            returned.append(super().draw(rng, size))
+            return returned[-1]
+
+    law = ZeroInflated(0.3, RecordingNormal())
+    got = law.draw(generator(5), (40, 25))
+    # the mask's uniforms come first, then the base draw, from one stream
+    rng = generator(5)
+    zero = rng.random((40, 25)) < 0.3
+    expected = rng.standard_normal((40, 25))
+    expected[zero] = 0.0
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert got is returned[0]
 
 
 def test_sample_helper_and_empirical_round_trip():

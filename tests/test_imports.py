@@ -1,0 +1,60 @@
+"""Start-up footprint: lpconc loads numpy and scipy.special, nothing heavier.
+
+Every CLI invocation pays its imports before any work, and scipy.stats
+alone (which pulls in scipy.integrate and scipy.optimize) costs about as
+much as the rest of the import.  A fresh interpreter imports lpconc, runs
+one small invocation of each subcommand family, and reports which scipy
+subpackages got loaded along the way.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+FORBIDDEN = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+
+_SCRIPT = r"""
+import json, os, sys
+import lpconc, lpconc.cli
+
+work = sys.argv[1]
+path = os.path.join(work, "d.csv")
+with open(path, "w") as handle:
+    handle.write("x,y,z\n")
+    for i in range(60):
+        handle.write(f"{1 + (i * 7) % 11},{(i * 5) % 13 - 6},{(i % 4) * 0.5}\n")
+argvs = [
+    ["rates", "--dist", "normal", "--p", "0.5,1.5", "--delta", "0.2"],
+    ["curve", "--dist", "uniform01", "--p", "1", "--n", "16", "--M", "200"],
+    ["embedsim", "--table", "both", "--kinds", "binary", "--p", "1.0",
+     "--M", "100", "--pairs", "60"],
+    ["diagnose", "--input", path, "--p", "0.5,1.0", "--standardize"],
+    ["perturb", "--input", path, "--gap", "0.2", "--seed", "3", "--p", "0.5,1.0",
+     "--standardize"],
+]
+codes = [lpconc.cli.run(argv + ["--out", os.path.join(work, f"{i}.out")])
+         for i, argv in enumerate(argvs)]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_cli_runs_without_scipy_stats_integrate_or_optimize(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 5
+    assert "scipy.special" in report["modules"]
+    loaded = [name for name in FORBIDDEN if name in report["modules"]]
+    assert loaded == [], f"imported at start-up or by a subcommand: {loaded}"
