@@ -3,16 +3,23 @@
 Every distribution here models one coordinate x of a product vector; all
 derived quantities (moments, MGFs, CDFs) refer to |x|.  The MGF evaluation
 is the numerical backbone of the rate engine, so it is organized to stay
-accurate for exponents p anywhere between 1e-6 and a few hundred:
+accurate for exponents p anywhere between 1e-6 and a few hundred.
 
-* discrete laws evaluate log E[exp(s*t*|x|^p)] by logsumexp,
+Each law has one private kernel, ``_tilted(t, p, s)``, returning the
+log-MGF K = log E[exp(s*t*|x|^p)] together with the mean and variance of
+W = |x|^p / mu_p under the law tilted by exp(s*t*|x|^p); the rate engine's
+Newton iteration runs on these two moments, and ``log_mgf_abs_p`` returns K.
+
+* discrete laws (two-point, empirical) take exact sums over their atoms,
+* the normal at p = 2 uses the chi-square closed form,
+* zero-inflated laws mix their base law's kernel with the atom at zero,
 * continuous laws integrate in the u = x^p coordinate for p < 1, where the
   x-domain integrand degenerates into a boundary spike, and in x otherwise.
   A probe grid, refined geometrically toward both ends of the support,
   finds the peak of the log-integrand and the window within _LOG_TRUNC of
   it; one fixed composite Gauss-Legendre rule over that window, evaluated
   as a single numpy array and shifted by its largest node value, gives the
-  log-integral.
+  log-integral, and the same node weights give the two tilted moments.
 """
 from __future__ import annotations
 
@@ -46,9 +53,9 @@ def as_sign(sign) -> int:
 
 
 def _log_integral(
-    log_weight, lo: float, hi: float, probes: np.ndarray, vals: np.ndarray
-) -> float:
-    """log of the integral of exp(log_weight(u)) over (lo, hi).
+    log_weight, log_w, lo: float, hi: float, probes: np.ndarray, vals: np.ndarray
+) -> tuple[float, float, float]:
+    """(log integral, tilted mean, tilted variance) of exp(log_weight(u)) over (lo, hi).
 
     The probes, with vals = log_weight(probes), locate the peak and the
     window of probes whose log-integrand lies within _LOG_TRUNC of it,
@@ -58,11 +65,12 @@ def _log_integral(
     grades the panels there) plus _WINDOW_PANELS uniform panels.
     log_weight is evaluated once, on all nodes, and the sum is shifted by
     the largest node value, so no node value is clipped however far it
-    rises above the probes.
+    rises above the probes.  The same node weights, normalized, give the
+    mean and (two-pass) variance of W = exp(log_w(u)).
     """
     finite = np.isfinite(vals)
     if not finite.any():
-        return -math.inf
+        return -math.inf, math.nan, math.nan
     inside = np.flatnonzero(vals >= vals[finite].max() - _LOG_TRUNC)
     first, last = inside[0], inside[-1]
     a = probes[first - 1] if first > 0 else lo
@@ -71,14 +79,34 @@ def _log_integral(
         np.concatenate([probes[first : last + 1], np.linspace(a, b, _WINDOW_PANELS + 1)])
     )
     half = 0.5 * np.diff(edges)[:, None]
-    nodes = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_NODES
-    weights = half * _GL_WEIGHTS
-    lv = np.asarray(log_weight(nodes.ravel()), dtype=float)
+    nodes = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_NODES).ravel()
+    weights = (half * _GL_WEIGHTS).ravel()
+    lv = np.asarray(log_weight(nodes), dtype=float)
     keep = np.isfinite(lv)
     if not keep.any():
-        return -math.inf
+        return -math.inf, math.nan, math.nan
     shift = float(lv[keep].max())
-    return shift + math.log(float(weights.ravel()[keep] @ np.exp(lv[keep] - shift)))
+    mass = np.exp(lv[keep] - shift)
+    total = float(weights[keep] @ mass)
+    mass *= weights[keep] / total
+    with np.errstate(divide="ignore"):
+        w = np.exp(log_w(nodes[keep]))
+    mean = float(mass @ w)
+    w -= mean
+    return shift + math.log(total), mean, float(mass @ (w * w))
+
+
+def _with_atom_at_zero(
+    a: float, k_base: float, m_base: float, v_base: float
+) -> tuple[float, float, float]:
+    """Kernel of the law with mass a at zero and 1-a on a base law whose kernel
+    is (k_base, m_base, v_base).  W = W_base / (1-a) off the atom, which
+    carries tilted mass q; the variance adds the spread between the parts."""
+    spike = math.log1p(-a) + k_base
+    k = float(np.logaddexp(math.log(a), spike))
+    q = math.exp(spike - k)
+    q_atom = math.exp(math.log(a) - k)
+    return k, q * m_base / (1.0 - a), (q * v_base + q * q_atom * m_base**2) / (1.0 - a) ** 2
 
 
 def _probe_grid(lo: float, hi: float, extra: Sequence[float] = ()) -> np.ndarray:
@@ -159,9 +187,12 @@ class Distribution:
             return 0.0
         if s > 0 and t >= self.mgf_t_bound(p):
             return math.inf
-        return self._log_mgf(t, p, s)
+        return self._tilted(t, p, s)[0]
 
-    def _log_mgf(self, t: float, p: float, s: int) -> float:
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
+        """(K, m, v) at t > 0: K = log E[exp(s*t*|x|^p)], and the mean and
+        variance of W = |x|^p / mu_p under the law tilted by exp(s*t*|x|^p).
+        K is +inf (and m, v nan) where the MGF diverges."""
         raise NotImplementedError
 
     # --- CDF of |x| -------------------------------------------------------
@@ -194,12 +225,15 @@ class _ContinuousLaw(Distribution):
         """x beyond which the density is numerically zero (inf support only)."""
         return self.ess_sup
 
-    def _log_mgf(self, t: float, p: float, s: int) -> float:
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
+        # W = exp(p log x - log mu_p): forming x^p and its square directly
+        # overflows on wide supports at large p
+        log_mu = math.log(self.mu_p(p))
         if p < _POWER_COORD_P:
-            return self._log_mgf_power_coord(t, p, s)
-        return self._log_mgf_plain(t, p, s)
+            return self._tilted_power_coord(t, p, s, log_mu)
+        return self._tilted_plain(t, p, s, log_mu)
 
-    def _log_mgf_plain(self, t: float, p: float, s: int) -> float:
+    def _tilted_plain(self, t: float, p: float, s: int, log_mu: float):
         hi = min(self.ess_sup, self._tail_cut())
 
         def log_weight(x):
@@ -207,10 +241,13 @@ class _ContinuousLaw(Distribution):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return s * t * np.power(x, p) + self._abs_logpdf(x)
 
-        extra = self._stationary_points(t, p, s)
-        return _log_integral(log_weight, 0.0, *self._probes(log_weight, hi, extra))
+        def log_w(x):
+            return p * np.log(x) - log_mu
 
-    def _log_mgf_power_coord(self, t: float, p: float, s: int) -> float:
+        extra = self._stationary_points(t, p, s)
+        return _log_integral(log_weight, log_w, 0.0, *self._probes(log_weight, hi, extra))
+
+    def _tilted_power_coord(self, t: float, p: float, s: int, log_mu: float):
         # u = x^p; du = p x^{p-1} dx keeps the small-p integrand a smooth bump
         hi = min(self.ess_sup, self._tail_cut()) ** p
 
@@ -225,10 +262,13 @@ class _ContinuousLaw(Distribution):
                     - math.log(p)
                 )
 
+        def log_w(u):
+            return np.log(u) - log_mu
+
         extra = []
         if s < 0 and t > 0:
             extra.append((1.0 / p - 1.0) / t)
-        return _log_integral(log_weight, 0.0, *self._probes(log_weight, hi, extra))
+        return _log_integral(log_weight, log_w, 0.0, *self._probes(log_weight, hi, extra))
 
     def _stationary_points(self, t: float, p: float, s: int) -> list[float]:
         return []
@@ -411,13 +451,17 @@ class StandardNormal(_ContinuousLaw):
             return [(t * p) ** (1.0 / (2.0 - p))]
         return []
 
-    def _log_mgf(self, t: float, p: float, s: int) -> float:
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
         if p == 2.0:
-            # E[exp(s t x^2)] = (1 - 2 s t)^{-1/2}
-            return -0.5 * math.log1p(-2.0 * s * t)
+            # x^2 is chi-square(1): under exp(s t x^2) it is Gamma(1/2, 2/c),
+            # c = 1 - 2 s t, and mu_2 = 1
+            c = 1.0 - 2.0 * s * t
+            if c <= 0.0:
+                return math.inf, math.nan, math.nan
+            return -0.5 * math.log(c), 1.0 / c, 2.0 / (c * c)
         if p > 2.0 and s > 0:
-            return math.inf
-        return super()._log_mgf(t, p, s)
+            return math.inf, math.nan, math.nan
+        return super()._tilted(t, p, s)
 
     def cdf_abs(self, x: float) -> float:
         if x <= 0:
@@ -465,10 +509,9 @@ class TwoPoint(Distribution):
             return math.inf
         return self.r**q * (1.0 - self.a)
 
-    def _log_mgf(self, t: float, p: float, s: int) -> float:
-        return float(
-            np.logaddexp(math.log(self.a), math.log1p(-self.a) + s * t * self.r**p)
-        )
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
+        # the spike is a point mass: W_base = 1 with no variance
+        return _with_atom_at_zero(self.a, s * t * self.r**p, 1.0, 0.0)
 
     def cdf_abs(self, x: float) -> float:
         if x < 0:
@@ -487,53 +530,8 @@ class TwoPoint(Distribution):
         return f"twopoint:a={self.a:g},r={self.r:g}"
 
 
-@dataclass(frozen=True, repr=False)
-class ThreePointSymmetric(Distribution):
-    """P(x=0) = a, P(x=r) = P(x=-r) = (1-a)/2; |x| matches TwoPoint(a, r)."""
-
-    a: float
-    r: float = 1.0
-    has_abs_atoms = True
-
-    def __post_init__(self):
-        if not (0.0 < self.a < 1.0):
-            raise ValueError("atom probability a must lie strictly in (0, 1)")
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError("spike location r must be positive and finite")
-
-    @property
-    def atom_at_zero(self) -> float:  # type: ignore[override]
-        return self.a
-
-    @property
-    def ess_sup(self) -> float:
-        return self.r
-
-    @property
-    def abs_two_point(self) -> tuple[float, float]:
-        return self.a, self.r
-
-    def abs_moment(self, q: float) -> float:
-        if q == 0:
-            return 1.0
-        if q < 0:
-            return math.inf
-        return self.r**q * (1.0 - self.a)
-
-    def _log_mgf(self, t: float, p: float, s: int) -> float:
-        return float(
-            np.logaddexp(math.log(self.a), math.log1p(-self.a) + s * t * self.r**p)
-        )
-
-    def cdf_abs(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        return self.a if x < self.r else 1.0
-
-    def cdf_abs_left(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return self.a if x <= self.r else 1.0
+class ThreePointSymmetric(TwoPoint):
+    """P(x=0) = a, P(x=r) = P(x=-r) = (1-a)/2; |x| is TwoPoint(a, r)'s law."""
 
     def draw(self, rng, size):
         u = rng.random(size)
@@ -580,11 +578,11 @@ class ZeroInflated(Distribution):
             return math.inf
         return (1.0 - self.a) * self.base.abs_moment(q)
 
-    def _log_mgf(self, t: float, p: float, s: int) -> float:
-        base = self.base.log_mgf_abs_p(t, p, "+" if s > 0 else "-")
-        if base == math.inf:
-            return math.inf
-        return float(np.logaddexp(math.log(self.a), math.log1p(-self.a) + base))
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
+        base = self.base._tilted(t, p, s)
+        if base[0] == math.inf:
+            return base
+        return _with_atom_at_zero(self.a, *base)
 
     def cdf_abs(self, x: float) -> float:
         if x < 0:
@@ -647,9 +645,15 @@ class Empirical(Distribution):
         logs = np.log(self._abs_sorted)
         return float(np.mean(logs)), float(np.var(logs))
 
-    def _log_mgf(self, t: float, p: float, s: int) -> float:
-        exponents = s * t * np.power(self._abs_sorted, p)
-        return float(logsumexp(exponents) - math.log(exponents.size))
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
+        powered = np.power(self._abs_sorted, p)
+        exponents = s * t * powered
+        k = float(logsumexp(exponents))
+        mass = np.exp(exponents - k)
+        w = powered / powered.mean()
+        mean = float(mass @ w)
+        w -= mean
+        return k - math.log(exponents.size), mean, float(mass @ (w * w))
 
     def cdf_abs(self, x: float) -> float:
         return float(np.searchsorted(self._abs_sorted, x, side="right")) / self._abs_sorted.size

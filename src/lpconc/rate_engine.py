@@ -6,9 +6,12 @@ For a component law and a band [(1-delta), (1+delta)] around the mean of
     lam(t) = s*t*(1 + s*delta)^p * mu_p - log E[exp(s*t*|x|^p)]
 
 over t >= 0, where s is +1 for the upper tail and -1 for the lower.  The
-log-MGF is convex in t, so lam is concave and a single bracket-and-shrink
-pass finds the supremum.  Small-p limits, large-p limits, the small-delta
-curvature phi, and the inf-over-p rates are built on top.
+log-MGF is convex in t, so lam is concave.  ``rate`` maximizes it by
+safeguarded Newton in the scale-free tilt tau = t*mu_p, taking the first
+and second derivatives from the tilted mean and variance of |x|^p / mu_p
+that each law's kernel returns with its log-MGF.  Small-p limits, large-p
+limits, the small-delta curvature phi, and the inf-over-p rates are built
+on top.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ REL_TOL_ARG = 1e-8
 REL_TOL_VALUE = 1e-10
 MAX_ITER = 400
 
-# below this p the maximizing t grows like 1/p, so optimize in y = t*p
-_SMALL_P_COORD = 0.05
+# a tilt that keeps climbing past this is reported as a divergent rate
+_DIVERGENT_TILT = 1e150
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -121,20 +124,17 @@ def lambda_value(dist: Distribution, t: float, p: float, delta: float, sign) -> 
 
 
 def _maximize_concave(
-    objective: Callable[[float], float], u_cap: float = math.inf
+    objective: Callable[[float], float]
 ) -> tuple[float, float | None, int, bool]:
-    """Maximize a concave function with objective(0) = 0 over [0, u_cap).
+    """Maximize a concave function with objective(0) = 0 over [0, inf) by
+    golden-section search.
 
     Returns (value, argmax, iterations, tolerance_met).  A run that keeps
-    climbing past 1e150 reports +inf with no argmax.
+    climbing past _DIVERGENT_TILT reports +inf with no argmax.
     """
-    iters = 0
-    if u_cap <= 0.0:
-        return 0.0, 0.0, 0, True
-
-    u1 = 1.0 if u_cap > 2.0 else 0.5 * u_cap
+    u1 = 1.0
     v1 = objective(u1)
-    iters += 1
+    iters = 1
     # a nonpositive probe sits past the hump (objective(0) = 0, slope > 0)
     while v1 <= 0.0:
         u1 *= 0.5
@@ -143,16 +143,10 @@ def _maximize_concave(
         if u1 < 1e-300:
             return 0.0, 0.0, iters, True
 
-    lo = 0.0
     u_mid, v_mid = u1, v1
-    hi = None
-    while hi is None:
+    while True:
         u_next = u_mid * 2.0
-        if u_next >= u_cap:
-            hi = u_cap * (1.0 - 1e-12) if math.isfinite(u_cap) else u_cap
-            if math.isfinite(hi):
-                break
-        if u_next > 1e150:
+        if u_next > _DIVERGENT_TILT:
             return math.inf, None, iters, True
         v_next = objective(u_next)
         iters += 1
@@ -251,18 +245,66 @@ def rate(dist: Distribution, p: float, delta: float, sign) -> RateResult:
     two_point = getattr(dist, "abs_two_point", None)
     if two_point is not None:
         return _two_point_rate(dist, two_point[0], two_point[1], p, delta, s)
+    return _newton_rate(dist, p, delta, s)
 
-    scale = 1.0 / p if p < _SMALL_P_COORD else 1.0
-    u_cap = dist.mgf_t_bound(p) / scale if s > 0 else math.inf
 
-    def objective(u: float) -> float:
-        return lambda_value(dist, u * scale, p, delta, s)
+def _midpoint(lo: float, hi: float) -> float:
+    # geometric once the bracket spans more than a factor of 4
+    return math.sqrt(lo * hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
 
-    value, u_star, iters, ok = _maximize_concave(objective, u_cap)
-    if not math.isfinite(value):
-        return RateResult(math.inf, None, REGIME_DIVERGENT, iters, ok)
-    argmax_t = None if u_star is None else u_star * scale
-    return RateResult(value, argmax_t, REGIME_INTERIOR, iters, ok)
+
+def _newton_rate(dist: Distribution, p: float, delta: float, s: int) -> RateResult:
+    """Maximize lam by safeguarded Newton in tau = t*mu_p.
+
+    With W = |x|^p / mu_p, B = (1 + s*delta)^p and the tilted mean m and
+    variance v of W from the law's kernel, lam(tau) = s*tau*B - K,
+    lam'(tau) = s*(B - m) and lam''(tau) = -v.  The start is the Newton
+    step from tau = 0, where m = 1 and v = Var W come from the law's own
+    moments.  [lo, hi] brackets the maximizer by the sign of lam'; a step
+    that leaves it bisects.  Until hi is found, a step that grows tau by
+    half or more is stretched by a factor that doubles each time, so a
+    maximizer beyond _DIVERGENT_TILT, reported as divergent, is found
+    within MAX_ITER.  Iterations count kernel evaluations.
+    """
+    mu = dist.mu_p(p)
+    band = (1.0 + s * delta) ** p
+    lo, hi = 0.0, (dist.mgf_t_bound(p) * mu if s > 0 else math.inf)
+    try:
+        var0 = math.expm1(math.log(dist.abs_moment(2.0 * p)) - 2.0 * math.log(mu))
+        tau = s * math.expm1(p * math.log1p(s * delta)) / var0
+    except (OverflowError, ZeroDivisionError):
+        # E|x|^{2p} beyond the float range on a wide support, or Var W = 0
+        tau = math.nan
+    if not lo < tau < hi:
+        tau = _midpoint(lo, hi) if math.isfinite(hi) else 1.0
+    best_value, best_tau = 0.0, 0.0
+    stretch = 1.0
+    for iters in range(1, MAX_ITER + 1):
+        k, m, v = dist._tilted(tau / mu, p, s)
+        if not math.isfinite(k):
+            hi = tau
+            tau = _midpoint(lo, hi)
+            continue
+        value = s * tau * band - k
+        if value > best_value:
+            best_value, best_tau = value, tau
+        slope = s * (band - m)
+        if slope > 0.0:
+            lo = tau
+            if lo >= _DIVERGENT_TILT:
+                return RateResult(math.inf, None, REGIME_DIVERGENT, iters, True)
+        else:
+            hi = tau
+        step = slope / v if v > 0.0 else math.copysign(math.inf, slope)
+        if abs(step) <= REL_TOL_ARG * tau:
+            return RateResult(best_value, best_tau / mu, REGIME_INTERIOR, iters, True)
+        if math.isinf(hi) and 2.0 * step >= tau:
+            stretch *= 2.0
+            step = min(step * stretch, _DIVERGENT_TILT)
+        else:
+            stretch = 1.0
+        tau = tau + step if lo < tau + step < hi else _midpoint(lo, hi)
+    return RateResult(best_value, best_tau / mu, REGIME_INTERIOR, MAX_ITER, False)
 
 
 def _log_abs_moment(dist: Distribution, q: float) -> float:

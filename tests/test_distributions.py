@@ -245,6 +245,42 @@ def test_expanded_probe_grid_merges_the_stationary_points():
     assert np.array_equal(vals, log_weight(expected))
 
 
+@pytest.mark.parametrize("spec", [
+    "uniform01",
+    "uniform:b=2",
+    "diffuniform",
+    "normal",
+    "zeroinflated:a=0.3,base=normal",
+    "zeroinflated:a=0.3,base=uniform01",
+    "twopoint:a=0.3,r=2",
+    "threepoint:a=0.2,r=2",
+    "empirical",
+])
+def test_tilted_moments_match_differences_of_the_log_mgf(spec):
+    # K(t) = log E exp(s t |x|^p) has K' = s mu_p m and K'' = mu_p^2 v, where
+    # m and v are the tilted mean and variance of W = |x|^p / mu_p
+    if spec == "empirical":
+        dist = Empirical(generator(5).standard_normal(200))
+    else:
+        dist = parse_spec(spec)
+    for p in (0.3, 1.5, 2.0):
+        mu = dist.mu_p(p)
+        for s in (+1, -1):
+            for tau in (0.2, 4.0):
+                t = tau / mu
+                h = 5e-4 * t
+                if s > 0 and t + h >= dist.mgf_t_bound(p):
+                    continue  # normal at p = 2: the MGF diverges from t = 1/2
+                k, m, v = dist._tilted(t, p, s)
+                below, mid, above = (dist.log_mgf_abs_p(t + d, p, s) for d in (-h, 0.0, h))
+                label = f"p={p} s={s} tau={tau}"
+                assert k == mid, label
+                assert s * mu * m == pytest.approx((above - below) / (2 * h), rel=5e-6), label
+                assert mu * mu * v == pytest.approx(
+                    (above - 2 * mid + below) / h**2, rel=2e-5
+                ), label
+
+
 def test_neg_moment_closed_forms():
     u = UniformUnit()
     assert u.neg_moment(0.5) == pytest.approx(2.0, rel=1e-10)

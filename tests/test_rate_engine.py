@@ -1,19 +1,23 @@
 """Rate engine against dense-grid maximization and frozen analytic values.
 
-Two independent routes anchor everything: (1) dense grids over the tilt
-parameter bound the supremum from below without trusting the line search;
-(2) closed-form family values derived by hand.  Frozen constants come from
-those routes at high resolution.
+Independent routes anchor everything: (1) dense grids over the tilt
+parameter bound the supremum from below without trusting the optimizer;
+(2) closed-form family values derived by hand; (3) mpmath roots of the
+first-order condition, with 1F1 and the incomplete gamma as the MGF.
+Frozen constants come from those routes at high resolution.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from lpconc import rate_engine
 from lpconc.closed_forms import diff_uniform_f, phi_closed, uniform_f
 from lpconc.distributions import (
     DiffUniform,
+    Empirical,
     StandardNormal,
     ThreePointSymmetric,
     TwoPoint,
@@ -35,6 +39,7 @@ from lpconc.rate_engine import (
     small_p_rate,
     uniform_rate,
 )
+from lpconc.seeding import generator
 
 
 def _dense_max(dist, p, delta, sign, t_hi, points=4000):
@@ -163,6 +168,106 @@ def test_rate_at_tiny_p_approaches_the_small_p_limit(dist, p, sign):
     assert res.regime == REGIME_INTERIOR
     assert res.tolerance_met
     assert res.value == pytest.approx(small_p_rate(dist, 0.1, sign), rel=1e-3)
+
+
+@pytest.mark.parametrize("b", [0.5, 2.0, 10.0])
+def test_rate_is_scale_invariant(b):
+    # (x/b)^p / mu_p has one law for every b, so the rate cannot depend on b
+    for p in (0.01, 1.0, 10.0, 50.0, 100.0, 300.0):
+        for delta in (0.01, 0.1, 0.3):
+            for sign in (+1, -1):
+                wide = rate(UniformSymmetric(b), p, delta, sign)
+                unit = rate(UniformUnit(), p, delta, sign)
+                label = f"b={b} p={p} delta={delta} sign={sign}"
+                assert wide.regime == unit.regime, label
+                assert wide.tolerance_met and unit.tolerance_met, label
+                if math.isinf(unit.value):
+                    assert wide.value == unit.value, label
+                else:
+                    assert wide.value == pytest.approx(unit.value, rel=1e-9), label
+
+
+def _powered_integral(k, c, p):
+    # int_0^1 y^k exp(c y^p) dy: 1F1 for c >= 0, lower incomplete gamma below
+    a = (k + 1) / p
+    if c >= 0:
+        return mpmath.hyp1f1(a, a + 1, c) / (k + 1)
+    return mpmath.gammainc(a, 0, -c) * (-c) ** (-a) / p
+
+
+def _mgf_pair(dist, c, p):
+    """(E exp(c X^p), E X^p exp(c X^p)); diffuniform is 2Y with Y of density 2(1-y)."""
+    if isinstance(dist, UniformUnit):
+        return _powered_integral(0, c, p), _powered_integral(p, c, p)
+    scale = mpmath.mpf(2) ** p
+    big = c * scale
+    return (
+        2 * (_powered_integral(0, big, p) - _powered_integral(1, big, p)),
+        2 * scale * (_powered_integral(p, big, p) - _powered_integral(1 + p, big, p)),
+    )
+
+
+def _oracle_rate(dist, p, delta, sign, t_start):
+    """sup_t of s t B mu_p - log E exp(s t X^p), at the root of its derivative."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        target = (1 + sign * mpmath.mpf(delta)) ** p * _mgf_pair(dist, 0, p)[1]
+
+        def first_order(log_t):
+            mgf, tilted = _mgf_pair(dist, sign * mpmath.exp(log_t), p)
+            return mpmath.log(tilted / mgf) - mpmath.log(target)
+
+        t = mpmath.exp(mpmath.findroot(first_order, mpmath.log(t_start)))
+        return float(sign * t * target - mpmath.log(_mgf_pair(dist, sign * t, p)[0]))
+
+
+@pytest.mark.parametrize("dist", [UniformUnit(), DiffUniform()], ids=repr)
+def test_rate_matches_mpmath_first_order_root(dist):
+    for p in (0.01, 0.5, 2.0, 100.0, 300.0):
+        for delta in (0.01, 0.1, 0.3):
+            for sign in (+1, -1):
+                res = rate(dist, p, delta, sign)
+                label = f"p={p} delta={delta} sign={sign}"
+                assert res.tolerance_met, label
+                if (1 + delta) ** p * dist.mu_p(p) > dist.ess_sup**p and sign > 0:
+                    assert res.regime == REGIME_DIVERGENT, label
+                    continue
+                assert res.regime == REGIME_INTERIOR, label
+                ref = _oracle_rate(dist, p, delta, sign, res.argmax_t)
+                assert res.value == pytest.approx(ref, rel=1e-9), label
+
+
+def test_normal_rate_at_p2_is_the_chi_square_rate():
+    # x^2 is chi-square(1): sup_t of s t c - (-1/2) log(1 - 2 s t) with
+    # c = (1 + s delta)^2 is (c - 1 - log c) / 2; on the plus side t* = (1 - 1/c)/2
+    # approaches the divergence edge 1/2 as delta grows
+    cases = [(d, +1) for d in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)]
+    cases += [(d, -1) for d in (0.01, 0.1, 0.5, 0.9)]
+    for delta, sign in cases:
+        c = (1.0 + sign * delta) ** 2
+        res = rate(StandardNormal(), 2.0, delta, sign)
+        assert res.tolerance_met and res.regime == REGIME_INTERIOR
+        assert res.value == pytest.approx((c - 1.0 - math.log(c)) / 2.0, rel=1e-9), delta
+        assert res.argmax_t == pytest.approx(sign * (1.0 - 1.0 / c) / 2.0, rel=1e-6)
+
+
+def test_empirical_rate_beats_every_dense_grid_point():
+    dist = Empirical(generator(11).standard_normal(300))
+    for p, delta, sign in ((0.5, 0.2, +1), (1.0, 0.1, -1), (2.0, 0.3, +1)):
+        res = rate(dist, p, delta, sign)
+        dense = _dense_max(dist, p, delta, sign, t_hi=40.0)
+        assert res.regime == REGIME_INTERIOR and res.tolerance_met
+        assert res.value >= dense - 1e-12
+        assert res.value <= dense + 1e-5
+
+
+def test_rate_reports_a_missed_tolerance_at_max_iter(monkeypatch):
+    full = rate(UniformUnit(), 1.0, 0.2, +1)
+    monkeypatch.setattr(rate_engine, "MAX_ITER", 1)
+    res = rate(UniformUnit(), 1.0, 0.2, +1)
+    assert res.iterations == 1
+    assert not res.tolerance_met
+    assert 0.0 < res.value <= full.value
 
 
 def test_rate_endpoint_p_inf_matches_large_p():
