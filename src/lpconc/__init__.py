@@ -68,6 +68,7 @@ from .monte_carlo import (
     ConcentrationGrid,
     ContrastSummary,
     concentration_frequency,
+    contrast_sweep,
     curve_sweep,
     log_lp_norms,
     lp_norms,

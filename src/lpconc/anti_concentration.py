@@ -240,9 +240,12 @@ def find_p_star(
 
     Exact-binomial evaluation needs |x| supported on {0, r}; anything else
     must use the monte-carlo method (seeded deterministically from the
-    inputs).  When even p = 1e-6 sits above Delta, p_star is reported
-    absent with a diagnostic: the dimension is below the threshold where
-    the mode mass P(k = n(1-a)) clears the target.
+    inputs), which draws its M vectors once and evaluates every p of the
+    bisection on them: it holds log|x| of up to 2^25 entries (256 MiB) and
+    draws chunks past that again at each p (monte_carlo.band_frequency_at).
+    When even p = 1e-6 sits above Delta, p_star is reported absent with a
+    diagnostic: the dimension is below the threshold where the mode mass
+    P(k = n(1-a)) clears the target.
     """
     atom = dist.atom_at_zero
     if not atom > 0:
@@ -269,11 +272,7 @@ def find_p_star(
     elif method == "monte-carlo":
         sample_count = M
         seed = _input_seed("p-star", dist.spec_string(), n, delta, Delta, M)
-
-        def prob(p: float) -> float:
-            return monte_carlo.concentration_frequency(
-                dist, n, p, delta, M, seed, workers=workers
-            )[0]
+        prob = monte_carlo.band_frequency_at(dist, n, delta, M, seed, workers)
 
     else:
         raise ValueError("method must be 'exact-binomial' or 'monte-carlo'")

@@ -233,19 +233,16 @@ def _cmd_contrast(args) -> tuple[RunConfig, dict, list[str], list[list]]:
         normalization=args.normalization,
         workers=workers,
     )
-    summaries = [
-        monte_carlo.relative_contrast(
-            dist,
-            n=args.n,
-            p=p,
-            M=args.M,
-            seed=args.seed,
-            delta=args.delta,
-            normalization=args.normalization,
-            workers=workers,
-        )
-        for p in args.p
-    ]
+    summaries = monte_carlo.contrast_sweep(
+        dist,
+        n=args.n,
+        p_grid=args.p,
+        M=args.M,
+        seed=args.seed,
+        delta=args.delta,
+        normalization=args.normalization,
+        workers=workers,
+    )
     header = [
         "p",
         "n",
@@ -582,3 +579,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .monte_carlo import _chunk_plan, _row_logsumexp, log_lp_norms, wilson_halfwidth
+from .monte_carlo import _chunk_plan, _log_norms_at, _row_logsumexp, wilson_halfwidth
 from .seeding import derive_seed, generator
 
 __all__ = [
@@ -194,9 +194,7 @@ def contrast_table(
     for kind in kinds:
         first = generate(kind, pairs, derive_seed(seed, _KIND_INDEX[kind.name], 1))
         second = generate(kind, pairs, derive_seed(seed, _KIND_INDEX[kind.name], 2))
-        for p in p_grid:
-            l1 = log_lp_norms(first, p)
-            l2 = log_lp_norms(second, p)
+        for p, l1, l2 in zip(p_grid, _log_norms_at(first, p_grid), _log_norms_at(second, p_grid)):
             valid = l1 > -math.inf
             with np.errstate(over="ignore", invalid="ignore"):
                 rc = np.abs(np.expm1(l2[valid] - l1[valid]))

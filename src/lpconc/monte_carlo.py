@@ -5,8 +5,11 @@ independent counter-based stream keyed by (seed, i).  Each chunk returns the
 log l_p norms of its rows, and the chunks are concatenated in chunk-index
 order before anything is counted or pooled, so results do not depend on
 worker count or scheduling: identical inputs and seed give bit-identical
-output.  Every entry is drawn once; the empirical mean of |entry|^p is
-pooled from the row norms.
+output.  Every entry is drawn once and its log|entry| taken once, however
+many p it is reduced at: contrast_sweep reduces each chunk at every p of its
+list, and band_frequency_at holds log|entry| of up to _HELD_ENTRIES entries
+(256 MiB) for a p bisection, drawing chunks past that again at each p.  The
+empirical mean of |entry|^p is pooled from the row norms.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ __all__ = [
     "concentration_frequency",
     "curve_sweep",
     "relative_contrast",
+    "contrast_sweep",
+    "band_frequency_at",
 ]
 
 # rows per chunk are sized so a chunk holds about this many entries
@@ -44,6 +49,8 @@ CHUNK_TARGET_ENTRIES = 1 << 22
 # instead of streaming a chunk-sized temporary through memory, and each numpy
 # call is still long enough that chunk threads seldom wait on the GIL
 _BLOCK_ENTRIES = 1 << 17
+# band_frequency_at holds log|entry| of at most this many entries (256 MiB)
+_HELD_ENTRIES = 1 << 25
 
 _WILSON_Z = 1.959963984540054
 
@@ -68,6 +75,38 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
         return np.log(a.sum(axis=-1)) + shift[..., 0]
 
 
+def _log_abs(values: np.ndarray) -> np.ndarray:
+    """log|values| in a new array; zeros give -inf."""
+    a = np.abs(values)
+    with np.errstate(divide="ignore"):
+        np.log(a, out=a)
+    return a
+
+
+def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = False) -> np.ndarray:
+    """log_lp_norms(values, p) for each p of ps, stacked on a new first axis.
+
+    Rows are taken a block of about _BLOCK_ENTRIES at a time; abs and log
+    run once per block for every p, and the last p scales that block in
+    place.  With logs_taken, values already hold log|entry| and are only read.
+    """
+    if not all(p > 0 for p in ps):
+        raise ValueError("p must be positive")
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    rows = values.reshape(-1, n)
+    out = np.empty((len(ps), rows.shape[0]))
+    step = max(1, _BLOCK_ENTRIES // n)
+    last = -1 if logs_taken else len(ps) - 1
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        logs = block if logs_taken else _log_abs(block)
+        for k, p in enumerate(ps):
+            scaled = np.multiply(logs, p, out=logs if k == last else None)
+            out[k, start : start + step] = _row_logsumexp(scaled)
+    return (out / np.array(ps, dtype=float)[:, None]).reshape(len(ps), *values.shape[:-1])
+
+
 def log_lp_norms(values: np.ndarray, p: float) -> np.ndarray:
     """log of the p-th power sum over the last axis, then divided by p.
 
@@ -75,20 +114,7 @@ def log_lp_norms(values: np.ndarray, p: float) -> np.ndarray:
     spanning hundreds of orders of magnitude and p up to the hundreds are
     safe.  Rows of zeros give -inf.
     """
-    if not p > 0:
-        raise ValueError("p must be positive")
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    rows = values.reshape(-1, n)
-    out = np.empty(rows.shape[0])
-    step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, rows.shape[0], step):
-        a = np.abs(rows[start : start + step])
-        with np.errstate(divide="ignore"):
-            np.log(a, out=a)
-        a *= p
-        out[start : start + step] = _row_logsumexp(a)
-    return out.reshape(values.shape[:-1]) / p
+    return _log_norms_at(values, (p,))[0]
 
 
 def lp_norms(values: np.ndarray, p: float) -> np.ndarray:
@@ -144,15 +170,16 @@ def _map_chunks(fn: Callable, plan: Sequence[tuple[int, int, int]], workers: int
 
 
 def _sample_log_norms(
-    dist: Distribution, shape: tuple[int, ...], p: float, M: int, seed: int, workers: int | None
+    dist: Distribution, shape: tuple[int, ...], ps: tuple, M: int, seed: int, workers: int | None
 ) -> np.ndarray:
-    """Row log-norms of M draws of the given row shape, in chunk order."""
+    """Row log-norms at each p of ps of M draws of the given row shape, in
+    chunk order: shape (len(ps), M, *shape[:-1])."""
 
     def one(chunk: tuple[int, int, int]) -> np.ndarray:
         index, _, rows = chunk
-        return log_lp_norms(dist.draw(generator(seed, index), (rows, *shape)), p)
+        return _log_norms_at(dist.draw(generator(seed, index), (rows, *shape)), ps)
 
-    return np.concatenate(_map_chunks(one, _chunk_plan(M, math.prod(shape)), workers))
+    return np.concatenate(_map_chunks(one, _chunk_plan(M, math.prod(shape)), workers), axis=1)
 
 
 def _checked_log_mu(log_mu: float) -> float:
@@ -178,6 +205,25 @@ def _sample_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:
     return _checked_log_mu(float(logsumexp(p * log_norms)) - math.log(entries))
 
 
+def _check_band(n: int, delta: float, M: int) -> None:
+    if M < 100:
+        raise ValueError("M must be at least 100")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+
+
+def _band_count(log_norms: np.ndarray, n: int, p: float, log_mu: float, delta: float) -> int:
+    """Rows whose norm over (n * mu)^(1/p) lies in [1-delta, 1+delta];
+    delta >= 1 leaves only the upper constraint."""
+    lo = math.log1p(-delta) if delta < 1.0 else -math.inf
+    hi = math.log1p(delta)
+    # log of (n * mu)^(1/p); log_norms already carry the 1/p
+    log_ratio = log_norms - (math.log(n) + log_mu) / p
+    return int(np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi)))
+
+
 def concentration_frequency(
     dist: Distribution,
     n: int,
@@ -194,22 +240,44 @@ def concentration_frequency(
     fully in log space (max factored out), so any p and entry scale that fit
     in floats are handled.  delta >= 1 leaves only the upper constraint.
     """
-    if M < 100:
-        raise ValueError("M must be at least 100")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _check_band(n, delta, M)
     log_mu = _law_log_mu(dist, p, normalization)
-    log_norms = _sample_log_norms(dist, (n,), p, M, seed, workers)
+    log_norms = _sample_log_norms(dist, (n,), (p,), M, seed, workers)[0]
     if log_mu is None:
         log_mu = _sample_log_mu(log_norms, p, M * n)
-    lo = math.log1p(-delta) if delta < 1.0 else -math.inf
-    hi = math.log1p(delta)
-    # log of (n * mu)^(1/p); log_lp_norms already carries the 1/p
-    log_ratio = log_norms - (math.log(n) + log_mu) / p
-    inside = int(np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi)))
+    inside = _band_count(log_norms, n, p, log_mu, delta)
     return inside / M, wilson_halfwidth(inside, M)
+
+
+def band_frequency_at(
+    dist: Distribution, n: int, delta: float, M: int, seed: int, workers: int | None = None
+) -> Callable[[float], float]:
+    """p -> concentration_frequency(dist, n, p, delta, M, seed, workers=workers)[0],
+    bit for bit, from one sample drawn here.
+
+    log|entry| is held for the chunks that fit in _HELD_ENTRIES; each call
+    only scales and reduces them at its p, and draws the later chunks again.
+    """
+    _check_band(n, delta, M)
+    plan = _chunk_plan(M, n)
+
+    def logs(chunk: tuple[int, int, int]) -> np.ndarray:
+        index, _, rows = chunk
+        return _log_abs(dist.draw(generator(seed, index), (rows, n)))
+
+    held = _map_chunks(logs, [c for c in plan if (c[1] + c[2]) * n <= _HELD_ENTRIES], workers)
+
+    def frequency(p: float) -> float:
+        log_mu = _law_log_mu(dist, p, "analytic-mu")
+
+        def one(chunk: tuple[int, int, int]) -> np.ndarray:
+            chunk_logs = held[chunk[0]] if chunk[0] < len(held) else logs(chunk)
+            return _log_norms_at(chunk_logs, (p,), logs_taken=True)[0]
+
+        log_norms = np.concatenate(_map_chunks(one, plan, workers))
+        return _band_count(log_norms, n, p, log_mu, delta) / M
+
+    return frequency
 
 
 @dataclass(frozen=True)
@@ -322,6 +390,71 @@ class ContrastSummary:
         }
 
 
+def contrast_sweep(
+    dist: Distribution,
+    n: int,
+    p_grid: Sequence[float],
+    M: int,
+    seed: int,
+    delta: float,
+    normalization: str = "analytic-mu",
+    workers: int | None = None,
+) -> tuple[ContrastSummary, ...]:
+    """Samples M independent vector pairs (2M fresh draws) once, for every p
+    of p_grid; summary k does not depend on the other p.
+
+    freq_below_delta is the share of valid pairs whose norm difference,
+    normalized by (n*mu_p)^(1/p), stays below delta.  median_rc is the
+    median of |norm1 - norm2| / norm1.  Pairs whose first vector has zero
+    norm are skipped and counted.  joint_half_band_freq is the share of
+    pairs with both ratios inside the half-delta band, measured on the same
+    draws; it is a sample-exact lower bound for freq_below_delta.  Every p,
+    and under analytic-mu its law mean, is checked before anything is drawn.
+    """
+    _check_band(n, delta, M)
+    if not delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    ps = tuple(p_grid)
+    if not ps or not all(p > 0 for p in ps):
+        raise ValueError("p_grid must be nonempty and every p positive")
+    log_mus = [_law_log_mu(dist, p, normalization) for p in ps]
+    log_norms = _sample_log_norms(dist, (2, n), ps, M, seed, workers)
+    half_lo, half_hi = math.log1p(-delta / 2.0), math.log1p(delta / 2.0)
+    summaries = []
+    for p, log_mu, log_norm in zip(ps, log_mus, log_norms):
+        if log_mu is None:
+            log_mu = _sample_log_mu(log_norm, p, 2 * M * n)
+        log_r = log_norm - (math.log(n) + log_mu) / p
+        r1, r2 = log_r[:, 0], log_r[:, 1]
+        valid = r1 > -math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = np.abs(np.exp(r1) - np.exp(r2))
+            rc = np.abs(np.expm1(log_norm[valid, 1] - log_norm[valid, 0]))
+        below = int(np.count_nonzero(valid & (diff < delta)))
+        in_half_band = (log_r >= half_lo) & (log_r <= half_hi)
+        joint = int(np.count_nonzero(in_half_band.all(axis=1)))
+        skipped = int(M - valid.sum())
+        valid_pairs = M - skipped
+        if valid_pairs <= 0:
+            raise ValueError("every pair had a zero first norm")
+        summaries.append(
+            ContrastSummary(
+                p=p,
+                n=n,
+                median_rc=float(np.median(rc)),
+                freq_below_delta=below / valid_pairs,
+                delta=delta,
+                pairs=M,
+                skipped=skipped,
+                skipped_fraction=skipped / M,
+                joint_half_band_freq=joint / M,
+                ci_halfwidth=wilson_halfwidth(below, valid_pairs),
+                seed=seed,
+            )
+        )
+    return tuple(summaries)
+
+
 def relative_contrast(
     dist: Distribution,
     n: int,
@@ -332,48 +465,5 @@ def relative_contrast(
     normalization: str = "analytic-mu",
     workers: int | None = None,
 ) -> ContrastSummary:
-    """Samples M independent vector pairs (2M fresh draws).
-
-    freq_below_delta is the share of valid pairs whose norm difference,
-    normalized by (n*mu_p)^(1/p), stays below delta.  median_rc is the
-    median of |norm1 - norm2| / norm1.  Pairs whose first vector has zero
-    norm are skipped and counted.  joint_half_band_freq is the share of
-    pairs with both ratios inside the half-delta band, measured on the same
-    draws; it is a sample-exact lower bound for freq_below_delta.
-    """
-    if M < 100:
-        raise ValueError("M must be at least 100")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    log_mu = _law_log_mu(dist, p, normalization)
-    log_norm = _sample_log_norms(dist, (2, n), p, M, seed, workers)
-    if log_mu is None:
-        log_mu = _sample_log_mu(log_norm, p, 2 * M * n)
-    half_lo, half_hi = math.log1p(-delta / 2.0), math.log1p(delta / 2.0)
-    log_r = log_norm - (math.log(n) + log_mu) / p
-    r1, r2 = log_r[:, 0], log_r[:, 1]
-    valid = r1 > -math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.abs(np.exp(r1) - np.exp(r2))
-        rc = np.abs(np.expm1(log_norm[valid, 1] - log_norm[valid, 0]))
-    below = int(np.count_nonzero(valid & (diff < delta)))
-    joint = int(
-        np.count_nonzero((r1 >= half_lo) & (r1 <= half_hi) & (r2 >= half_lo) & (r2 <= half_hi))
-    )
-    skipped = int(M - valid.sum())
-    valid_pairs = M - skipped
-    if valid_pairs <= 0:
-        raise ValueError("every pair had a zero first norm")
-    return ContrastSummary(
-        p=p,
-        n=n,
-        median_rc=float(np.median(rc)),
-        freq_below_delta=below / valid_pairs,
-        delta=delta,
-        pairs=M,
-        skipped=skipped,
-        skipped_fraction=skipped / M,
-        joint_half_band_freq=joint / M,
-        ci_halfwidth=wilson_halfwidth(below, valid_pairs),
-        seed=seed,
-    )
+    """contrast_sweep at the one p."""
+    return contrast_sweep(dist, n, (p,), M, seed, delta, normalization, workers)[0]

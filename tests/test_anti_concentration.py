@@ -6,9 +6,12 @@ coefficients, so any disagreement is a real defect, not roundoff debate.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpconc.anti_concentration import (
     BE_C_DEFAULT,
@@ -80,6 +83,22 @@ def test_tails_partition_the_whole_line(n):
     below, inside, above = exact_two_point_tails(0.3, 1.0, 0.5, 0.2, n)
     assert below + inside + above == pytest.approx(1.0, abs=1e-12)
     assert min(below, inside, above) >= 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.floats(0.01, 0.99),
+    st.floats(1e-3, 10.0),
+    st.floats(0.01, 0.99),
+    st.integers(1, MAX_EXACT_N),
+)
+def test_tails_sum_to_one(a, p, delta, n):
+    # every binomial mass is exp of a difference of log-Gamma values as large
+    # as log(n!), so each carries a relative rounding error of a few ulps of
+    # log(n!): 1e-12 holds up to n of about 1500, and the bound grows past it
+    below, inside, above = exact_two_point_tails(a, 1.0, p, delta, n)
+    tol = 1e-12 + 8 * sys.float_info.epsilon * math.lgamma(n + 1)
+    assert math.fsum((below, inside, above)) == pytest.approx(1.0, abs=tol)
 
 
 def test_tails_match_fraction_oracle_on_each_piece():

@@ -1,9 +1,17 @@
 """Command-line behavior: artifact shape, exit codes, reproducibility."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from lpconc import monte_carlo
 from lpconc.cli import SCHEMA_VERSION, WORKERS_ENV, run
 
 
@@ -159,6 +167,38 @@ def test_contrast_subcommand(capsys):
         assert 0.0 <= record["freq_below_delta"] <= 1.0
         assert record["joint_half_band_freq"] <= record["freq_below_delta"] + 1e-12
         assert record["n"] == 64
+
+
+# sha256 of the stdout artifact as written when each p drew its own sample
+CONTRAST_DIGESTS = {
+    "analytic-mu": "a55c274f757bd5765944ac396d436ea4b3a385f3e827d146428135f997bb6c49",
+    "empirical-mu": "985d1c4ae120aef6aeb8d0e8ade22d919a40563c183068452cd2dadb7e699621",
+}
+
+
+@pytest.mark.parametrize("normalization", sorted(CONTRAST_DIGESTS))
+def test_contrast_p_list_writes_the_same_bytes(monkeypatch, normalization):
+    # one sample now serves both p; the artifact must not change
+    monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 1 << 16)  # 5 chunks
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["contrast", "--dist", "uniform01", "--n", "300", "--p", "0.01,0.5",
+                    "--M", "500", "--seed", "3", "--workers", "2",
+                    "--normalization", normalization])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CONTRAST_DIGESTS[normalization]
+
+
+@pytest.mark.parametrize("module", ["lpconc", "lpconc.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: lpconc")
+    assert "contrast" in done.stdout and "pstar" in done.stdout
 
 
 def test_embedsim_subcommand(capsys):

@@ -15,9 +15,18 @@ from scipy.special import logsumexp
 from scipy.stats import binom, norm
 
 from lpconc import monte_carlo
-from lpconc.distributions import StandardNormal, TwoPoint, UniformSymmetric, UniformUnit
+from lpconc.anti_concentration import find_p_star
+from lpconc.distributions import (
+    StandardNormal,
+    TwoPoint,
+    UniformSymmetric,
+    UniformUnit,
+    ZeroInflated,
+)
 from lpconc.monte_carlo import (
+    band_frequency_at,
     concentration_frequency,
+    contrast_sweep,
     curve_sweep,
     log_lp_norms,
     lp_norms,
@@ -86,15 +95,46 @@ def test_log_lp_norms_matches_scipy_logsumexp(p, shape):
     np.testing.assert_allclose(got[~zero_rows], expected[~zero_rows], rtol=1e-13, atol=0)
 
 
+def _one_block_log_norms(x, p):
+    """The single-p kernel on the whole array as one block: abs, log, scale
+    in place, max-shift log-sum-exp, then divide by p."""
+    with np.errstate(divide="ignore"):
+        a = np.log(np.abs(x))
+    a *= p
+    return monte_carlo._row_logsumexp(a) / p
+
+
+@pytest.mark.parametrize("shape", [(40, 300), (20, 2, 150)])
+def test_log_norms_at_matches_log_lp_norms_bit_for_bit(monkeypatch, shape):
+    # abs and log are shared by every p of a block; the result at each p
+    # must still be the single-p kernel's, bit for bit
+    x = _wide_range_sample(np.random.default_rng(12345), shape)
+    monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", 1000)
+    stacked = monte_carlo._log_norms_at(x, KERNEL_P)
+    assert stacked.shape == (len(KERNEL_P), *shape[:-1])
+    zero_rows = ~np.any(x, axis=-1)
+    for k, p in enumerate(KERNEL_P):
+        np.testing.assert_array_equal(stacked[k], log_lp_norms(x, p))
+        np.testing.assert_array_equal(stacked[k], _one_block_log_norms(x, p))
+        assert np.all(stacked[k][zero_rows] == -np.inf)
+    logs = monte_carlo._log_abs(x)
+    held = logs.copy()
+    np.testing.assert_array_equal(monte_carlo._log_norms_at(logs, KERNEL_P, logs_taken=True), stacked)
+    np.testing.assert_array_equal(logs, held)  # taken logs are only read
+
+
 @pytest.mark.parametrize("block_entries", [1, 700, 1000, 1 << 30])
 @pytest.mark.parametrize("shape", [(23, 300), (11, 2, 150)])
 def test_log_lp_norms_bits_do_not_depend_on_the_row_block(monkeypatch, block_entries, shape):
     # rows are reduced a block at a time; blocks of one row, of uneven
-    # length and of the whole array must all give the same bits
+    # length and of the whole array must all give the same bits, at every p
     x = _wide_range_sample(np.random.default_rng(99), shape)
-    whole = log_lp_norms(x, 0.5)
+    whole = [log_lp_norms(x, p) for p in KERNEL_P]
+    whole_at = monte_carlo._log_norms_at(x, KERNEL_P)
     monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", block_entries)
-    np.testing.assert_array_equal(log_lp_norms(x, 0.5), whole)
+    for k, p in enumerate(KERNEL_P):
+        np.testing.assert_array_equal(log_lp_norms(x, p), whole[k])
+    np.testing.assert_array_equal(monte_carlo._log_norms_at(x, KERNEL_P), whole_at)
 
 
 _entries = st.lists(
@@ -202,26 +242,26 @@ def test_concentration_frequency_worker_count_is_invisible():
         assert c1 == c4 == cd
 
 
-def _counting_uniform():
-    """A UniformUnit that records the size of every array it draws."""
+def _counting(law=UniformUnit, **params):
+    """A law of that class that records the size of every array it draws."""
     drawn = []
 
-    class CountingUniform(UniformUnit):
+    class Counting(law):
         def draw(self, rng, size):
             x = super().draw(rng, size)
             drawn.append(x.size)
             return x
 
-    return CountingUniform(), drawn
+    return Counting(**params), drawn
 
 
 def test_empirical_mu_draws_each_entry_once():
     # n chosen so the plan spans several chunks
     n, M = 2048, 5000
-    dist, drawn = _counting_uniform()
+    dist, drawn = _counting()
     concentration_frequency(dist, n, 1.0, 0.1, M, seed=4, normalization="empirical-mu")
     assert sum(drawn) == M * n
-    dist, drawn = _counting_uniform()
+    dist, drawn = _counting()
     relative_contrast(dist, n, 1.0, M, seed=4, delta=0.1, normalization="empirical-mu")
     assert sum(drawn) == 2 * M * n
 
@@ -328,3 +368,102 @@ def test_relative_contrast_validation_and_serialization():
     assert record["p"] == 1.0 and record["n"] == 16
     assert {"median_rc", "freq_below_delta", "joint_half_band_freq", "ci",
             "skipped", "skipped_fraction", "delta", "seed"} <= set(record)
+
+
+# --- one sample at many p ---------------------------------------------------
+
+PSTAR_ARGS = dict(n=50, delta=0.1, Delta=0.2, method="monte-carlo", M=200, iterations=12)
+
+
+def _zero_inflated_uniform():
+    return _counting(ZeroInflated, a=0.3, base=UniformUnit())
+
+
+def test_contrast_sweep_matches_one_relative_contrast_per_p(monkeypatch):
+    monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 1 << 14)  # 4 chunks
+    n, M, ps = 300, 100, (0.01, 0.5)
+    for normalization in ("analytic-mu", "empirical-mu"):
+        kwargs = dict(M=M, seed=8, delta=0.1, normalization=normalization, workers=2)
+        dist, drawn = _counting()
+        swept = contrast_sweep(dist, n, ps, **kwargs)
+        assert sum(drawn) == 2 * M * n and len(drawn) == 4
+        assert [s.to_json_dict() for s in swept] == [
+            relative_contrast(UniformUnit(), n, p, **kwargs).to_json_dict() for p in ps
+        ]
+
+
+def test_contrast_sweep_checks_every_p_before_drawing():
+    for p_grid, law, params in (
+        ((0.5, -1.0), UniformUnit, {}),
+        ((0.5, math.nan), UniformUnit, {}),
+        ((), UniformUnit, {}),
+        ((1.0, 5000.0), UniformSymmetric, {"b": 2.0}),  # 2^5000 overflows mu_p
+    ):
+        dist, drawn = _counting(law, **params)
+        with pytest.raises((ValueError, OverflowError)):
+            contrast_sweep(dist, 16, p_grid, M=200, seed=0, delta=0.1)
+        assert drawn == []
+    dist, drawn = _counting()
+    with pytest.raises(ValueError):
+        contrast_sweep(dist, 0, (1.0,), M=200, seed=0, delta=0.1)
+    assert drawn == []
+
+
+def test_find_p_star_monte_carlo_draws_its_sample_once(monkeypatch):
+    monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 2000)  # 40 rows, 5 chunks
+    dist, drawn = _zero_inflated_uniform()
+    report = find_p_star(dist, workers=2, **PSTAR_ARGS)
+    assert sum(drawn) == 200 * 50 and len(drawn) == 5
+    assert report.p_star is not None and report.exact_prob_at_p_star <= 0.2
+    freq, _ = concentration_frequency(
+        ZeroInflated(a=0.3, base=UniformUnit()), 50, report.p_star, 0.1, 200, report.seed
+    )
+    assert report.exact_prob_at_p_star == freq
+
+    # a budget of one chunk holds the first and draws the other four again
+    # at each of the 14 evaluations; the report must not change
+    monkeypatch.setattr(monte_carlo, "_HELD_ENTRIES", 2000)
+    dist, drawn = _zero_inflated_uniform()
+    assert find_p_star(dist, workers=2, **PSTAR_ARGS) == report
+    assert sum(drawn) == 2000 + 14 * 4 * 2000
+
+
+def test_find_p_star_monte_carlo_validation():
+    dist, drawn = _zero_inflated_uniform()
+    with pytest.raises(ValueError):
+        find_p_star(dist, **{**PSTAR_ARGS, "M": 50})
+    assert drawn == []
+    with pytest.raises(ValueError):
+        band_frequency_at(dist, 0, 0.1, M=200, seed=0)
+    frequency = band_frequency_at(UniformSymmetric(b=2.0), 16, 0.1, M=200, seed=0)
+    with pytest.raises((ValueError, OverflowError)):
+        frequency(5000.0)  # 2^5000 overflows mu_p
+
+
+_sizes = st.tuples(
+    st.integers(100, 240),  # M
+    st.integers(1, 40),  # n
+    st.integers(3, 6),  # chunks the plan is forced into, about
+    st.integers(0, 3),  # chunks band_frequency_at holds
+)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(_sizes)
+def test_outputs_do_not_depend_on_workers_or_chunking(sizes):
+    M, n, chunks, held = sizes
+    rows = -(-M // chunks)
+    dist = ZeroInflated(a=0.3, base=UniformUnit())
+    results = []
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", rows * n)
+            mp.setattr(monte_carlo, "_HELD_ENTRIES", held * rows * n if workers > 1 else 1 << 25)
+            results.append((
+                curve_sweep(dist, (0.1, 1.0), (n,), M=M, seed=5, workers=workers).to_json_dict(),
+                [s.to_json_dict() for s in contrast_sweep(
+                    UniformUnit(), n, (0.1, 1.0), M, 5, 0.2, "empirical-mu", workers)],
+                find_p_star(dist, n, 0.1, 0.2, method="monte-carlo", M=M, iterations=6,
+                            workers=workers),
+            ))
+    assert results[0] == results[1] == results[2]
