@@ -107,7 +107,9 @@ def load_csv(
     rejects the file, "drop-rows" removes the affected rows, "mean-impute"
     fills with the column mean.  Mean imputation plants an atom at the mean,
     which is exactly the effect the perturbation studies quantify, hence the
-    warning.  Unparseable cells raise with their row and column.
+    warning.  Unparseable cells raise with their row and column.  A clean
+    file, every cell a finite number, is parsed by numpy's C reader; any
+    other by a per-cell loop, which would build the same matrix.
     """
     if missing_policy not in ("error", "drop-rows", "mean-impute"):
         raise ValueError("missing_policy must be error | drop-rows | mean-impute")
@@ -119,6 +121,14 @@ def load_csv(
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         names = tuple(cell.strip() for cell in header)
+        # a marker that reads as a number would be a value to the C reader
+        if not any(map(_finite_number, markers)):
+            matrix = _clean_body(handle, delimiter, len(names))
+            if matrix is not None:
+                return Dataset(matrix, names, meta={"path": path, "missing_cells": 0})
+        handle.seek(0)
+        reader = csv.reader(handle, delimiter=delimiter)
+        next(reader)
         rows: list[list[float]] = []
         missing_at: list[tuple[int, int]] = []
         for line_no, record in enumerate(reader, start=2):
@@ -162,6 +172,9 @@ def load_csv(
             if matrix.shape[0] == 0:
                 raise ValueError(f"{path}: every row has missing cells")
         else:
+            empty = np.isnan(matrix).all(axis=0)
+            if empty.any():
+                raise ValueError(f"{path}: column {names[empty.argmax()]!r} has no value to average")
             warnings.warn(
                 "mean imputation places an atom at each column mean; downstream "
                 "concentration results will reflect that atom",
@@ -172,6 +185,30 @@ def load_csv(
             matrix[holes] = np.take(means, np.nonzero(holes)[1])
     data = Dataset(matrix, names, meta={"path": path, "missing_cells": len(missing_at)})
     return data
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _clean_body(handle, delimiter: str, columns: int) -> np.ndarray | None:
+    """The rest of the file by numpy's C reader if it is at least one row of
+    `columns` finite numbers, else None.  Its fields split as csv.reader
+    splits them, and its cells parse as float() parses the stripped text
+    (less float's underscores), so the per-cell loop would build the same
+    matrix."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "input contained no data"
+        try:
+            matrix = np.loadtxt(handle, delimiter=delimiter, comments=None, quotechar='"', ndmin=2)
+        except (ValueError, TypeError):  # TypeError: a delimiter numpy rejects
+            return None
+    if matrix.shape[0] == 0 or matrix.shape[1] != columns or not np.isfinite(matrix).all():
+        return None
+    return matrix
 
 
 def drop_constant(data: Dataset) -> Dataset:

@@ -196,7 +196,11 @@ def _law_log_mu(dist: Distribution, p: float, normalization: str) -> float | Non
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
     if normalization == "empirical-mu":
         return None
-    return _checked_log_mu(math.log(dist.mu_p(p)))
+    try:
+        log_mu = math.log(dist.mu_p(p))
+    except OverflowError:
+        log_mu = math.inf
+    return _checked_log_mu(log_mu)
 
 
 def _sample_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:

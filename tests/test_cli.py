@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lpconc import monte_carlo
@@ -189,6 +190,13 @@ def test_contrast_p_list_writes_the_same_bytes(monkeypatch, normalization):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CONTRAST_DIGESTS[normalization]
 
 
+def test_contrast_reports_an_overflowing_mean_as_an_error(capsys):
+    # 2^5000 overflows the law's mean of |x|^p
+    code = run(["contrast", "--dist", "uniform:b=2", "--n", "16", "--p", "5000", "--M", "200"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("lpconc:")
+
+
 @pytest.mark.parametrize("module", ["lpconc", "lpconc.cli"])
 def test_python_dash_m_runs_the_cli(module):
     src = Path(__file__).resolve().parents[1] / "src"
@@ -273,6 +281,42 @@ def test_perturb_subcommand_fields_and_determinism(tmp_path, capsys):
     first_bytes = target.read_bytes()
     assert run(args + ["--out", str(target)]) == 0
     assert target.read_bytes() == first_bytes
+
+
+def _write_seeded_csv(tmp_path):
+    """2000 x 12: normal columns, few-level columns and one constant column."""
+    rng = np.random.default_rng([3, 0x6C70])
+    columns = []
+    for j in range(11):
+        if j % 4 == 3:
+            columns.append(rng.integers(0, 2 + j % 5, 2000).astype(float))
+        else:
+            columns.append(rng.normal(0.1 * j, 1.0 + 0.05 * j, 2000))
+    columns.append(np.full(2000, 3.0))
+    path = tmp_path / "seeded.csv"
+    header = ",".join(f"c{j:02d}" for j in range(12))
+    np.savetxt(path, np.column_stack(columns), fmt="%.12g", delimiter=",", header=header,
+               comments="")
+    return str(path)
+
+
+# sha256 of the artifact without its config block (which echoes the input
+# path), as written when every cell was parsed by the per-cell Python loop
+TABLE_DIGESTS = {
+    "diagnose": "80f448e6a2fc011c5fe0a502e59d4cce504121c4bdbbee52e63e94a7550839de",
+    "perturb": "b016164940ec8a2474b52952236e21132382f8df53ee0116cd3bd9a3af52036d",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(TABLE_DIGESTS))
+def test_diagnose_and_perturb_write_the_same_results(tmp_path, capsys, subcommand):
+    path = _write_seeded_csv(tmp_path)
+    extra = ["--gap", "0.05", "--seed", "3"] if subcommand == "perturb" else []
+    assert run([subcommand, "--input", path, "--standardize", *extra]) == 0
+    document = _json_out(capsys)
+    del document["config"]
+    text = json.dumps(document, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[subcommand]
 
 
 def test_validate_subcommand(capsys):

@@ -5,13 +5,16 @@ implementation; the Wasserstein distance against sorted-pairing and a hand
 CDF-area computation.
 """
 
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import kolmogorov
 from scipy.stats import ks_2samp, wasserstein_distance
 
+from lpconc import diagnostics
 from lpconc.diagnostics import (
     Dataset,
     concentration_curve,
@@ -90,6 +93,107 @@ def test_load_csv_custom_delimiter(tmp_path):
     path = _write(tmp_path, "a;b\n1;2\n")
     data = load_csv(path, delimiter=";")
     assert data.values.tolist() == [[1.0, 2.0]]
+
+
+# --- C reader against the per-cell oracle -----------------------------------
+
+def _write_bytes(tmp_path, text, name="data.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode())  # keeps \r and \r\n line ends as written
+    return str(path)
+
+
+def _routes(monkeypatch):
+    """Record, per load, whether numpy's C reader returned the matrix."""
+    taken = []
+    real = diagnostics._clean_body
+
+    def spy(*args):
+        matrix = real(*args)
+        taken.append(matrix is not None)
+        return matrix
+
+    monkeypatch.setattr(diagnostics, "_clean_body", spy)
+    return taken
+
+
+def _assert_same_bits(path, delimiter=","):
+    """load_csv against csv.reader plus float() on every stripped cell."""
+    with open(path, newline="") as handle:
+        records = list(csv.reader(handle, delimiter=delimiter))
+    want = np.array([[float(cell.strip()) for cell in r] for r in records[1:] if r], dtype=float)
+    data = load_csv(path, delimiter=delimiter)
+    assert data.values.shape == want.shape
+    assert np.array_equal(data.values.view(np.int64), want.view(np.int64))
+    assert data.column_names == tuple(name.strip() for name in records[0])
+    return data
+
+
+@pytest.mark.parametrize("fmt", [repr, "%.12g".__mod__], ids=["repr", "%.12g"])
+def test_c_reader_matches_float_on_random_doubles(tmp_path, monkeypatch, fmt):
+    rng = generator(23)
+    values = rng.normal(size=(200, 6)) * 10.0 ** rng.integers(-300, 300, size=(200, 6))
+    values[:8, 0] = [-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308 / 3,
+                     1e308, -1e308, 1.7976931348623157e308]
+    text = "a,b,c,d,e,f\n" + "".join(",".join(map(fmt, row)) + "\n" for row in values.tolist())
+    taken = _routes(monkeypatch)
+    data = _assert_same_bits(_write_bytes(tmp_path, text))
+    assert taken == [True] and data.meta["missing_cells"] == 0
+    assert math.copysign(1.0, data.values[0, 0]) == -1.0
+
+
+@pytest.mark.parametrize(
+    "text, delimiter",
+    [
+        ("a,b\n 1.5 , -2 \n3,\t4e-3\n", ","),  # spaces around cells
+        ('a,b\n"1.5","-2"\n3,"4"\n', ","),  # quoted numeric cells
+        ("a,b\r\n1,2\r\n3,4\r\n", ","),
+        ("a,b\r1,2\r3,4\r", ","),
+        ("a,b\n\n1,2\n\n\n3,4\n\n", ","),  # blank lines
+        ("a,b,c\n1,2,3\n", ","),
+        ("a\n1\n2\n3\n", ","),
+        ("a\n7\n", ","),
+        ("a;b\n1.25;2\n3;-4\n", ";"),
+        ("a\tb\n1.25\t2\n3\t-4\n", "\t"),
+        ('"first\nname",b\n1,2\n3,4\n', ","),  # a quoted name spans two lines
+    ],
+    ids=["spaces", "quoted", "crlf", "cr", "blank-lines", "one-row", "one-column",
+         "one-cell", "semicolon", "tab", "two-line-name"],
+)
+def test_c_reader_matches_float_on_layouts(tmp_path, monkeypatch, text, delimiter):
+    taken = _routes(monkeypatch)
+    _assert_same_bits(_write_bytes(tmp_path, text), delimiter)
+    assert taken == [True]
+
+
+def test_loader_keeps_python_only_literals_and_nonfinite_as_missing(tmp_path, monkeypatch):
+    taken = _routes(monkeypatch)
+    assert load_csv(_write(tmp_path, "a,b\n1_000,2\n")).values.tolist() == [[1000.0, 2.0]]
+    path = _write(tmp_path, "a,b\n1,nan\ninf,2\n1e400,3\n4,-inf\n5,6\n")
+    data = load_csv(path, missing_policy="drop-rows")
+    assert data.meta["missing_cells"] == 4 and data.values.tolist() == [[5.0, 6.0]]
+    assert taken == [False, False]
+
+
+def test_loader_honours_a_marker_that_reads_as_a_number(tmp_path):
+    path = _write(tmp_path, "a,b\n1,-999\n2,3\n")
+    data = load_csv(path, missing_markers=("-999",), missing_policy="drop-rows")
+    assert data.meta["missing_cells"] == 1 and data.values.tolist() == [[2.0, 3.0]]
+
+
+def test_header_only_file_raises_without_a_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(_write(tmp_path, "a,b\n"))
+
+
+def test_mean_impute_names_a_column_with_no_values(tmp_path):
+    path = _write(tmp_path, "a,b\n1,NA\n2,NA\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="column 'b' has no value"):
+            load_csv(path, missing_policy="mean-impute")
 
 
 # --- Dataset and transforms -------------------------------------------------

@@ -409,6 +409,13 @@ def test_contrast_sweep_checks_every_p_before_drawing():
     assert drawn == []
 
 
+def test_contrast_sweep_reports_an_overflowing_mean_as_value_error():
+    dist, drawn = _counting(UniformSymmetric, b=2.0)  # 2^5000 overflows mu_p
+    with pytest.raises(ValueError, match="non-finite"):
+        contrast_sweep(dist, 16, (5000.0,), M=200, seed=0, delta=0.1)
+    assert drawn == []
+
+
 def test_find_p_star_monte_carlo_draws_its_sample_once(monkeypatch):
     monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 2000)  # 40 rows, 5 chunks
     dist, drawn = _zero_inflated_uniform()
