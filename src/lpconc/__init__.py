@@ -10,7 +10,7 @@ when does an atom at zero destroy the effect.  Modules:
 - closed_forms: the handful of analytically solvable rate formulas
 - anti_concentration: exact and Gaussian-approximation bounds with atoms
 - monte_carlo: deterministic chunk-parallel frequency experiments
-- embedding_lab: synthetic retrieval-style vector populations and scores
+- embedding_lab: synthetic retrieval-style vector populations and their tables
 - diagnostics: CSV pipeline, perturbations, KS/Wasserstein drift tests
 - cli: the `lpconc` command
 """
@@ -80,13 +80,9 @@ from .embedding_lab import (
     ALL_KINDS,
     EmbeddingKind,
     EmbeddingTable,
-    ScorePair,
     concentration_table,
     contrast_table,
     generate,
-    hadamard_lp,
-    rrf_score,
-    scores,
 )
 from .diagnostics import (
     ConcentrationCurve,

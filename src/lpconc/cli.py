@@ -22,14 +22,7 @@ from typing import Sequence
 
 from . import anti_concentration, closed_forms, diagnostics, embedding_lab, monte_carlo
 from . import rate_engine
-from .distributions import (
-    DiffUniform,
-    UniformSymmetric,
-    UniformUnit,
-    moment_report,
-    parse_spec,
-    validate_assumptions,
-)
+from .distributions import moment_report, parse_spec, validate_assumptions
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "LPCONC_WORKERS"
@@ -137,15 +130,6 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _closed_form_limit(dist, delta: float, sign: int) -> float | None:
-    # the small-p limit is scale-free, so any uniform |x| qualifies
-    if isinstance(dist, (UniformSymmetric, UniformUnit)):
-        return closed_forms.uniform_f(delta, sign)
-    if isinstance(dist, DiffUniform):
-        return closed_forms.diff_uniform_f(delta, sign)
-    return None
-
-
 def _cmd_rates(args) -> tuple[RunConfig, dict, list[str], list[list]]:
     dist = parse_spec(args.dist)
     config = RunConfig(
@@ -161,8 +145,8 @@ def _cmd_rates(args) -> tuple[RunConfig, dict, list[str], list[list]]:
     for p in args.p:
         plus = rate_engine.rate(dist, p, args.delta, +1)
         minus = rate_engine.rate(dist, p, args.delta, -1)
-        cf_plus = _closed_form_limit(dist, args.delta, +1)
-        cf_minus = _closed_form_limit(dist, args.delta, -1)
+        cf_plus = closed_forms.small_p_closed(dist.closed_family, args.delta, +1)
+        cf_minus = closed_forms.small_p_closed(dist.closed_family, args.delta, -1)
         rows.append(
             [p, plus.value, minus.value, plus.regime, minus.regime, cf_plus, cf_minus]
         )

@@ -2,7 +2,9 @@
 
 Every function here has a slower numerical twin in :mod:`lpconc.rate_engine`
 built from moments and quadrature.  The pairs are cross-checked in the test
-suite, so either path can serve as an oracle for the other.
+suite, so either path can serve as an oracle for the other.  A law names its
+family once, in its ``closed_family`` tag; ``small_p_closed`` and
+``phi_closed`` look that tag up.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "uniform_maximizer",
     "diff_uniform_f",
     "diff_uniform_maximizer",
+    "small_p_closed",
     "phi_closed",
     "cube_upper_bound",
     "PHI_FAMILIES",
@@ -65,6 +68,18 @@ def diff_uniform_maximizer(delta: float, sign) -> float:
     big_l = _band_log(delta, sign)
     root = math.sqrt(25.0 - 12.0 * big_l + 4.0 * big_l * big_l)
     return (-5.0 + 6.0 * big_l + root) / (s * (6.0 - 4.0 * big_l))
+
+
+def small_p_closed(family: str | None, delta: float, sign) -> float | None:
+    """Small-p rate for a family that has a closed one; None otherwise.
+
+    The small-p limit is scale-free, so every uniform |x| shares uniform_f.
+    """
+    if family == "uniform-cube":
+        return uniform_f(delta, sign)
+    if family == "diff-uniform":
+        return diff_uniform_f(delta, sign)
+    return None
 
 
 def phi_closed(family: str, p: float) -> float:

@@ -9,6 +9,10 @@ Each law has one private kernel, ``_tilted(t, p, s)``, returning the
 log-MGF K = log E[exp(s*t*|x|^p)] together with the mean and variance of
 W = |x|^p / mu_p under the law tilted by exp(s*t*|x|^p); the rate engine's
 Newton iteration runs on these two moments, and ``log_mgf_abs_p`` returns K.
+Each atom-free law also has ``_log_tilted(y, s)``, the same triple for the
+p -> 0 limit: K = log E|x|^{s*y} and the moments of log|x| under the tilt
+|x|^{s*y}, in closed form or (empirical laws) as exact sums.  A law whose
+rates have closed forms names its family in ``closed_family``.
 
 * discrete laws (two-point, empirical) take exact sums over their atoms,
 * the normal at p = 2 uses the chi-square closed form,
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtr
+from scipy.special import digamma, gammaln, logsumexp, ndtr, polygamma
 
 from .seeding import generator
 
@@ -41,6 +45,9 @@ _LOG_TRUNC = 80.0
 _GL_ORDER = 16
 _WINDOW_PANELS = 64
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# on unbounded support the MGF window's upper limit doubles at most this often
+_MAX_DOUBLINGS = 200
+_LOG2 = math.log(2.0)
 
 
 def as_sign(sign) -> int:
@@ -96,6 +103,27 @@ def _log_integral(
     return shift + math.log(total), mean, float(mass @ (w * w))
 
 
+def _spec_float(x: float) -> str:
+    """x for a spec string: the short :g form when it reads back as x, else repr."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
+def _power_log_tilted(q: float, log_b: float, triangular: bool) -> tuple[float, float, float]:
+    """_log_tilted at q = s*y for |x| on [0, b] with a flat density, or with
+    density proportional to 1 - x/b (triangular).  Under the tilt x^q,
+    -log(x/b) is an Exp(1+q) variable, plus an independent Exp(2+q) one
+    for the triangular density."""
+    if q <= -1.0:
+        return math.inf, math.nan, math.nan
+    r1 = 1.0 / (1.0 + q)
+    k, m, v = q * log_b - math.log1p(q), log_b - r1, r1 * r1
+    if triangular:
+        r2 = 1.0 / (2.0 + q)
+        k, m, v = k - math.log1p(0.5 * q), m - r2, v + r2 * r2
+    return k, m, v
+
+
 def _with_atom_at_zero(
     a: float, k_base: float, m_base: float, v_base: float
 ) -> tuple[float, float, float]:
@@ -128,6 +156,8 @@ class Distribution:
 
     atom_at_zero: float = 0.0
     has_abs_atoms: bool = False
+    # key of this law's family in closed_forms, or None
+    closed_family: str | None = None
 
     # --- family facts -------------------------------------------------
     @property
@@ -167,13 +197,11 @@ class Distribution:
         return self.abs_moment(-y)
 
     def log_moments(self) -> tuple[float, float]:
-        """(E[log|x|], Var[log|x|]); undefined with an atom at zero."""
+        """(E[log|x|], Var[log|x|]), the untilted moments of _log_tilted;
+        undefined with an atom at zero."""
         if self.atom_at_zero > 0:
             raise ValueError("log moments undefined for a law with P(x=0) > 0")
-        return self._log_moments()
-
-    def _log_moments(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return self._log_tilted(0.0, 1)[1:]
 
     # --- MGF of |x|^p ----------------------------------------------------
     def log_mgf_abs_p(self, t: float, p: float, sign) -> float:
@@ -193,6 +221,12 @@ class Distribution:
         """(K, m, v) at t > 0: K = log E[exp(s*t*|x|^p)], and the mean and
         variance of W = |x|^p / mu_p under the law tilted by exp(s*t*|x|^p).
         K is +inf (and m, v nan) where the MGF diverges."""
+        raise NotImplementedError
+
+    def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
+        """(K, m, v) at y >= 0 with q = s*y: K = log E|x|^q, and the mean and
+        variance of log|x| under the law tilted by |x|^q.  K is +inf (and
+        m, v nan) where the moment diverges.  Atom-free laws only."""
         raise NotImplementedError
 
     # --- CDF of |x| -------------------------------------------------------
@@ -294,7 +328,7 @@ class _ContinuousLaw(Distribution):
     def _expand_upper(log_weight, hi: float):
         """Double hi until the log-integrand there lies _LOG_TRUNC below the
         probed peak; return hi, its probe grid and the log-integrand on it."""
-        for _ in range(200):
+        for _ in range(_MAX_DOUBLINGS):
             probes = _probe_grid(0.0, hi)
             vals = np.asarray(log_weight(probes), dtype=float)
             peak = np.nanmax(np.where(np.isfinite(vals), vals, -np.inf))
@@ -311,6 +345,7 @@ class UniformSymmetric(_ContinuousLaw):
     """Uniform on [-b, b]; |x| is uniform on [0, b]."""
 
     b: float = 1.0
+    closed_family = "uniform-cube"
 
     def __post_init__(self):
         if not (self.b > 0 and math.isfinite(self.b)):
@@ -325,8 +360,8 @@ class UniformSymmetric(_ContinuousLaw):
             return math.inf
         return self.b**q / (1.0 + q)
 
-    def _log_moments(self) -> tuple[float, float]:
-        return math.log(self.b) - 1.0, 1.0
+    def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
+        return _power_log_tilted(s * y, math.log(self.b), False)
 
     def _abs_logpdf(self, x):
         out = np.full_like(x, -np.inf, dtype=float)
@@ -341,12 +376,14 @@ class UniformSymmetric(_ContinuousLaw):
         return rng.uniform(-self.b, self.b, size)
 
     def spec_string(self) -> str:
-        return f"uniform:b={self.b:g}"
+        return f"uniform:b={_spec_float(self.b)}"
 
 
 @dataclass(frozen=True, repr=False)
 class UniformUnit(_ContinuousLaw):
     """Uniform on [0, 1]."""
+
+    closed_family = "uniform-cube"
 
     @property
     def ess_sup(self) -> float:
@@ -357,8 +394,8 @@ class UniformUnit(_ContinuousLaw):
             return math.inf
         return 1.0 / (1.0 + q)
 
-    def _log_moments(self) -> tuple[float, float]:
-        return -1.0, 1.0
+    def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
+        return _power_log_tilted(s * y, 0.0, False)
 
     def _abs_logpdf(self, x):
         out = np.full_like(x, -np.inf, dtype=float)
@@ -379,6 +416,8 @@ class UniformUnit(_ContinuousLaw):
 class DiffUniform(_ContinuousLaw):
     """|y - z| for independent y, z uniform on [-1, 1]; density 1 - x/2 on [0, 2]."""
 
+    closed_family = "diff-uniform"
+
     @property
     def ess_sup(self) -> float:
         return 2.0
@@ -388,8 +427,8 @@ class DiffUniform(_ContinuousLaw):
             return math.inf
         return 2.0 ** (1.0 + q) / ((1.0 + q) * (2.0 + q))
 
-    def _log_moments(self) -> tuple[float, float]:
-        return math.log(2.0) - 1.5, 1.25
+    def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
+        return _power_log_tilted(s * y, _LOG2, True)
 
     def _abs_logpdf(self, x):
         out = np.full_like(x, -np.inf, dtype=float)
@@ -411,6 +450,8 @@ class DiffUniform(_ContinuousLaw):
 @dataclass(frozen=True, repr=False)
 class StandardNormal(_ContinuousLaw):
     """Standard normal; |x| is half-normal."""
+
+    closed_family = "standard-normal"
 
     @property
     def ess_sup(self) -> float:
@@ -434,8 +475,17 @@ class StandardNormal(_ContinuousLaw):
             (q / 2.0) * math.log(2.0) + gammaln((q + 1.0) / 2.0) - 0.5 * math.log(math.pi)
         )
 
-    def _log_moments(self) -> tuple[float, float]:
-        return -(np.euler_gamma + math.log(2.0)) / 2.0, math.pi**2 / 8.0
+    def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
+        # E|x|^q = 2^{q/2} Gamma(h) / sqrt(pi) with h = (q+1)/2
+        q = s * y
+        if q <= -1.0:
+            return math.inf, math.nan, math.nan
+        h = 0.5 * (q + 1.0)
+        return (
+            0.5 * q * _LOG2 + float(gammaln(h)) - 0.5 * math.log(math.pi),
+            0.5 * (_LOG2 + float(digamma(h))),
+            0.25 * float(polygamma(1, h)),
+        )
 
     def _abs_logpdf(self, x):
         out = np.full_like(x, -np.inf, dtype=float)
@@ -447,8 +497,11 @@ class StandardNormal(_ContinuousLaw):
         return 42.0
 
     def _stationary_points(self, t, p, s):
+        # the plus-side peak x* = (t p)^(1/(2-p)); near p = 2 it can pass the
+        # float range, but no window reaches past _MAX_DOUBLINGS doublings
         if s > 0 and p < 2.0:
-            return [(t * p) ** (1.0 / (2.0 - p))]
+            if math.log(t * p) / (2.0 - p) < math.log(self._tail_cut()) + _MAX_DOUBLINGS * _LOG2:
+                return [(t * p) ** (1.0 / (2.0 - p))]
         return []
 
     def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
@@ -527,7 +580,7 @@ class TwoPoint(Distribution):
         return np.where(rng.random(size) < self.a, 0.0, self.r)
 
     def spec_string(self) -> str:
-        return f"twopoint:a={self.a:g},r={self.r:g}"
+        return f"twopoint:a={_spec_float(self.a)},r={_spec_float(self.r)}"
 
 
 class ThreePointSymmetric(TwoPoint):
@@ -539,7 +592,7 @@ class ThreePointSymmetric(TwoPoint):
         return np.where(u < self.a, 0.0, self.r * signs)
 
     def spec_string(self) -> str:
-        return f"threepoint:a={self.a:g},r={self.r:g}"
+        return f"threepoint:a={_spec_float(self.a)},r={_spec_float(self.r)}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -601,7 +654,7 @@ class ZeroInflated(Distribution):
         return vals
 
     def spec_string(self) -> str:
-        return f"zeroinflated:a={self.a:g},base={self.base.spec_string()}"
+        return f"zeroinflated:a={_spec_float(self.a)},base={self.base.spec_string()}"
 
 
 class Empirical(Distribution):
@@ -641,9 +694,14 @@ class Empirical(Distribution):
             return math.inf
         return float(np.mean(powered))
 
-    def _log_moments(self) -> tuple[float, float]:
+    def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
         logs = np.log(self._abs_sorted)
-        return float(np.mean(logs)), float(np.var(logs))
+        exponents = s * y * logs
+        k = float(logsumexp(exponents))
+        mass = np.exp(exponents - k)
+        mean = float(mass @ logs)
+        logs -= mean
+        return k - math.log(logs.size), mean, float(mass @ (logs * logs))
 
     def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
         powered = np.power(self._abs_sorted, p)

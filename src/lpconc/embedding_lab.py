@@ -1,11 +1,9 @@
-"""Synthetic embedding experiments and retrieval scoring kernels.
+"""Synthetic embedding experiments.
 
 Four vector populations mirror common retrieval setups: dense normalized
 encoders, high-dimensional sparse term weights, ReLU feature maps, and
 binary indicator profiles.  On top of them sit concentration and contrast
-tables over p, plus the scoring functions (cosine, sparse dot, hybrid mix,
-reciprocal-rank fusion, Hadamard powered sums) whose behavior those tables
-explain.
+tables over p.
 """
 
 from __future__ import annotations
@@ -31,17 +29,11 @@ __all__ = [
     "generate",
     "concentration_table",
     "contrast_table",
-    "ScorePair",
-    "scores",
-    "rrf_score",
-    "hadamard_lp",
     "EmbeddingTable",
     "TableCell",
     "DEFAULT_CONCENTRATION_P",
     "DEFAULT_CONTRAST_P",
 ]
-
-RRF_K = 60
 
 
 @dataclass(frozen=True)
@@ -202,77 +194,3 @@ def contrast_table(
             value = float(np.median(rc)) if rc.size else math.nan
             cells.append(TableCell(kind.name, float(p), value, None, skipped))
     return EmbeddingTable("median-contrast", None, pairs, seed, tuple(cells))
-
-
-@dataclass(frozen=True)
-class ScorePair:
-    """The four retrieval scores for one query/document pair."""
-
-    dense_score: float
-    sparse_score: float
-    hybrid_score: float
-    rrf_score: float
-    dense_zero_flag: bool
-
-
-def rrf_score(ranks: Sequence[int], k: int = RRF_K) -> float:
-    """Reciprocal-rank fusion over 1-based ranks: sum of 1/(k + rank)."""
-    if not ranks:
-        raise ValueError("ranks must be nonempty")
-    if any(r < 1 or int(r) != r for r in ranks):
-        raise ValueError("ranks are 1-based integers")
-    return math.fsum(1.0 / (k + r) for r in ranks)
-
-
-def scores(
-    query: np.ndarray,
-    doc: np.ndarray,
-    alpha: float = 0.5,
-    ranks: Sequence[int] = (1, 1),
-) -> ScorePair:
-    """Cosine, dot, alpha-mix, and RRF for one pair.
-
-    The hybrid mix combines the two scores as computed here; any rescaling
-    convention is the caller's.  ranks feed the RRF term (1-based, default
-    both lists rank the document first).
-    """
-    q = np.asarray(query, dtype=float)
-    d = np.asarray(doc, dtype=float)
-    if q.shape != d.shape or q.ndim != 1:
-        raise ValueError("query and doc must be vectors of the same length")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    nq = math.sqrt(float(q @ q))
-    nd = math.sqrt(float(d @ d))
-    zero = nq == 0.0 or nd == 0.0
-    dense = 0.0 if zero else float(q @ d) / (nq * nd)
-    # product-then-sum, the same kernel hadamard_lp uses at p = 1, so the
-    # two agree bit for bit
-    sparse = float(np.sum(q * d))
-    hybrid = alpha * dense + (1.0 - alpha) * sparse
-    return ScorePair(
-        dense_score=dense,
-        sparse_score=sparse,
-        hybrid_score=hybrid,
-        rrf_score=rrf_score(ranks),
-        dense_zero_flag=zero,
-    )
-
-
-def hadamard_lp(wq: np.ndarray, wd: np.ndarray, p: float) -> tuple[float, int]:
-    """Powered sum and support overlap of the elementwise product.
-
-    Returns (sum of z_j^p, count of z_j > 0) for z = wq * wd; as p drops to
-    zero the first component approaches the second.
-    """
-    if not p > 0:
-        raise ValueError("p must be positive")
-    q = np.asarray(wq, dtype=float)
-    d = np.asarray(wd, dtype=float)
-    if q.shape != d.shape or q.ndim != 1:
-        raise ValueError("weight vectors must share one dimension")
-    if (q < 0).any() or (d < 0).any():
-        raise ValueError("weights must be nonnegative")
-    z = q * d
-    powered = z if p == 1.0 else z**p
-    return float(np.sum(powered)), int(np.count_nonzero(z > 0))

@@ -9,9 +9,11 @@ over t >= 0, where s is +1 for the upper tail and -1 for the lower.  The
 log-MGF is convex in t, so lam is concave.  ``rate`` maximizes it by
 safeguarded Newton in the scale-free tilt tau = t*mu_p, taking the first
 and second derivatives from the tilted mean and variance of |x|^p / mu_p
-that each law's kernel returns with its log-MGF.  Small-p limits, large-p
-limits, the small-delta curvature phi, and the inf-over-p rates are built
-on top.
+that each law's kernel returns with its log-MGF.  The p -> 0 limit
+maximizes s*y*drift - log E|x|^{s*y} with the same Newton loop, on the
+tilted moments of log|x|.  Large-p limits, the small-delta curvature phi,
+and the inf-over-p rates are built on top; laws with a closed form are
+looked up by their ``closed_family`` tag in :mod:`lpconc.closed_forms`.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import closed_forms
-from .distributions import (
-    DiffUniform,
-    Distribution,
-    StandardNormal,
-    UniformSymmetric,
-    UniformUnit,
-    as_sign,
-)
+from .distributions import Distribution, as_sign
 
 __all__ = [
     "RateResult",
@@ -61,8 +56,6 @@ MAX_ITER = 400
 
 # a tilt that keeps climbing past this is reported as a divergent rate
 _DIVERGENT_TILT = 1e150
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -121,75 +114,6 @@ def lambda_value(dist: Distribution, t: float, p: float, delta: float, sign) -> 
     if math.isinf(log_mgf):
         return -math.inf
     return s * t * band**p * dist.mu_p(p) - log_mgf
-
-
-def _maximize_concave(
-    objective: Callable[[float], float]
-) -> tuple[float, float | None, int, bool]:
-    """Maximize a concave function with objective(0) = 0 over [0, inf) by
-    golden-section search.
-
-    Returns (value, argmax, iterations, tolerance_met).  A run that keeps
-    climbing past _DIVERGENT_TILT reports +inf with no argmax.
-    """
-    u1 = 1.0
-    v1 = objective(u1)
-    iters = 1
-    # a nonpositive probe sits past the hump (objective(0) = 0, slope > 0)
-    while v1 <= 0.0:
-        u1 *= 0.5
-        v1 = objective(u1)
-        iters += 1
-        if u1 < 1e-300:
-            return 0.0, 0.0, iters, True
-
-    u_mid, v_mid = u1, v1
-    while True:
-        u_next = u_mid * 2.0
-        if u_next > _DIVERGENT_TILT:
-            return math.inf, None, iters, True
-        v_next = objective(u_next)
-        iters += 1
-        if v_next <= v_mid:
-            lo, hi = u_mid * 0.5 if u_mid > u1 else 0.0, u_next
-            break
-        u_mid, v_mid = u_next, v_next
-
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = objective(c)
-    fd = objective(d)
-    iters += 2
-    best_u, best_v = (c, fc) if fc >= fd else (d, fd)
-    if v_mid > best_v:
-        best_u, best_v = u_mid, v_mid
-    tolerance_met = False
-    while iters < MAX_ITER:
-        if (b - a) <= REL_TOL_ARG * max(abs(best_u), 1e-12):
-            tolerance_met = True
-            break
-        if abs(fc - fd) <= REL_TOL_VALUE * max(abs(best_v), 1.0) and (b - a) <= 1e-4 * max(
-            abs(best_u), 1e-12
-        ):
-            tolerance_met = True
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = objective(d)
-        iters += 1
-        if fc >= fd and fc > best_v:
-            best_u, best_v = c, fc
-        elif fd > best_v:
-            best_u, best_v = d, fd
-    if best_v < 0.0:
-        return 0.0, 0.0, iters, tolerance_met
-    return best_v, best_u, iters, tolerance_met
 
 
 def _two_point_rate(
@@ -253,65 +177,86 @@ def _midpoint(lo: float, hi: float) -> float:
     return math.sqrt(lo * hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
 
 
-def _newton_rate(dist: Distribution, p: float, delta: float, s: int) -> RateResult:
-    """Maximize lam by safeguarded Newton in tau = t*mu_p.
+def _newton_max(
+    kernel: Callable[[float], tuple[float, float, float]],
+    target: float,
+    s: int,
+    start: float,
+    hi: float,
+) -> tuple[float, float | None, int, bool]:
+    """Maximize lam(tau) = s*tau*target - K(tau) over [0, hi) by safeguarded Newton.
 
-    With W = |x|^p / mu_p, B = (1 + s*delta)^p and the tilted mean m and
-    variance v of W from the law's kernel, lam(tau) = s*tau*B - K,
-    lam'(tau) = s*(B - m) and lam''(tau) = -v.  The start is the Newton
-    step from tau = 0, where m = 1 and v = Var W come from the law's own
-    moments.  [lo, hi] brackets the maximizer by the sign of lam'; a step
-    that leaves it bisects.  Until hi is found, a step that grows tau by
-    half or more is stretched by a factor that doubles each time, so a
-    maximizer beyond _DIVERGENT_TILT, reported as divergent, is found
-    within MAX_ITER.  Iterations count kernel evaluations.
+    kernel(tau) returns (K, m, v), where m and v are the tilted mean and
+    variance that give lam'(tau) = s*(target - m) and lam''(tau) = -v; K is
+    +inf past a divergence.  start is the Newton step from tau = 0, or nan.
+    [lo, hi] brackets the maximizer by the sign of lam'; a step that leaves
+    it bisects, and so does a step below REL_TOL_ARG taken from a value more
+    than REL_TOL_VALUE below the best seen.  Until hi is finite, a step that
+    grows tau by half or more is stretched by a factor that doubles each
+    time, so a maximizer beyond _DIVERGENT_TILT, reported as +inf with no
+    argmax, is found within MAX_ITER.  Returns (value, argmax, iterations,
+    tolerance_met), where iterations count kernel evaluations.
     """
-    mu = dist.mu_p(p)
-    band = (1.0 + s * delta) ** p
-    lo, hi = 0.0, (dist.mgf_t_bound(p) * mu if s > 0 else math.inf)
-    try:
-        var0 = math.expm1(math.log(dist.abs_moment(2.0 * p)) - 2.0 * math.log(mu))
-        tau = s * math.expm1(p * math.log1p(s * delta)) / var0
-    except (OverflowError, ZeroDivisionError):
-        # E|x|^{2p} beyond the float range on a wide support, or Var W = 0
-        tau = math.nan
+    lo, tau = 0.0, start
     if not lo < tau < hi:
         tau = _midpoint(lo, hi) if math.isfinite(hi) else 1.0
     best_value, best_tau = 0.0, 0.0
     stretch = 1.0
     for iters in range(1, MAX_ITER + 1):
-        k, m, v = dist._tilted(tau / mu, p, s)
+        k, m, v = kernel(tau)
         if not math.isfinite(k):
             hi = tau
             tau = _midpoint(lo, hi)
             continue
-        value = s * tau * band - k
+        value = s * tau * target - k
         if value > best_value:
             best_value, best_tau = value, tau
-        slope = s * (band - m)
+        slope = s * (target - m)
         if slope > 0.0:
             lo = tau
             if lo >= _DIVERGENT_TILT:
-                return RateResult(math.inf, None, REGIME_DIVERGENT, iters, True)
+                return math.inf, None, iters, True
         else:
             hi = tau
         step = slope / v if v > 0.0 else math.copysign(math.inf, slope)
         if abs(step) <= REL_TOL_ARG * tau:
-            return RateResult(best_value, best_tau / mu, REGIME_INTERIOR, iters, True)
+            if value >= best_value - REL_TOL_VALUE * best_value:
+                return best_value, best_tau, iters, True
+            # a tiny step from below the best value seen: the curvature here
+            # is too steep to locate the maximizer, so bisect instead
+            tau = _midpoint(lo, hi)
+            continue
         if math.isinf(hi) and 2.0 * step >= tau:
             stretch *= 2.0
             step = min(step * stretch, _DIVERGENT_TILT)
         else:
             stretch = 1.0
         tau = tau + step if lo < tau + step < hi else _midpoint(lo, hi)
-    return RateResult(best_value, best_tau / mu, REGIME_INTERIOR, MAX_ITER, False)
+    return best_value, best_tau, MAX_ITER, False
 
 
-def _log_abs_moment(dist: Distribution, q: float) -> float:
-    m = dist.abs_moment(q) if q >= 0 else dist.neg_moment(-q)
-    if m == math.inf:
-        return math.inf
-    return math.log(m)
+def _newton_rate(dist: Distribution, p: float, delta: float, s: int) -> RateResult:
+    """Maximize lam by _newton_max in tau = t*mu_p.
+
+    With W = |x|^p / mu_p and B = (1 + s*delta)^p, lam(tau) = s*tau*B - K,
+    where the law's kernel gives K and the tilted mean and variance of W.
+    The start is the Newton step from tau = 0, where m = 1 and v = Var W
+    come from the law's own moments.
+    """
+    mu = dist.mu_p(p)
+    hi = dist.mgf_t_bound(p) * mu if s > 0 else math.inf
+    try:
+        var0 = math.expm1(math.log(dist.abs_moment(2.0 * p)) - 2.0 * math.log(mu))
+        start = s * math.expm1(p * math.log1p(s * delta)) / var0
+    except (OverflowError, ZeroDivisionError):
+        # E|x|^{2p} beyond the float range on a wide support, or Var W = 0
+        start = math.nan
+    value, tau, iters, met = _newton_max(
+        lambda tau: dist._tilted(tau / mu, p, s), (1.0 + s * delta) ** p, s, start, hi
+    )
+    if tau is None:
+        return RateResult(value, None, REGIME_DIVERGENT, iters, met)
+    return RateResult(value, tau / mu, REGIME_INTERIOR, iters, met)
 
 
 def small_p_rate(
@@ -333,21 +278,15 @@ def small_p_rate(
     if s < 0 and delta >= 1.0:
         return math.inf
     if use_closed_forms:
-        if isinstance(dist, (UniformSymmetric, UniformUnit)):
-            return closed_forms.uniform_f(delta, s)
-        if isinstance(dist, DiffUniform):
-            return closed_forms.diff_uniform_f(delta, s)
-
-    log_mean = dist.log_moments()[0]
+        closed = closed_forms.small_p_closed(dist.closed_family, delta, s)
+        if closed is not None:
+            return closed
+    # Newton in y on the moments of log|x| under the tilt |x|^{s*y}; the
+    # start is the step from y = 0, where they are the law's log moments
+    log_mean, log_var = dist.log_moments()
     drift = math.log1p(s * delta) + log_mean
-
-    def objective(y: float) -> float:
-        penalty = _log_abs_moment(dist, s * y)
-        if math.isinf(penalty):
-            return -math.inf
-        return s * y * drift - penalty
-
-    value, _, _, _ = _maximize_concave(objective)
+    start = s * math.log1p(s * delta) / log_var if log_var > 0.0 else math.nan
+    value, _, _, _ = _newton_max(lambda y: dist._log_tilted(y, s), drift, s, start, math.inf)
     return value
 
 
@@ -373,12 +312,8 @@ def phi(dist: Distribution, p: float) -> float:
     """Curvature of the rate in delta at delta -> 0 for this p."""
     if not p > 0:
         raise ValueError("p must be positive")
-    if isinstance(dist, (UniformSymmetric, UniformUnit)):
-        return closed_forms.phi_closed("uniform-cube", p)
-    if isinstance(dist, DiffUniform):
-        return closed_forms.phi_closed("diff-uniform", p)
-    if isinstance(dist, StandardNormal):
-        return closed_forms.phi_closed("standard-normal", p)
+    if dist.closed_family is not None:
+        return closed_forms.phi_closed(dist.closed_family, p)
     mean = dist.abs_moment(p)
     second = dist.abs_moment(2.0 * p)
     variance = second - mean * mean

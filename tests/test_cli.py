@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from lpconc import monte_carlo
-from lpconc.cli import SCHEMA_VERSION, WORKERS_ENV, run
+from lpconc.cli import SCHEMA_VERSION, WORKERS_ENV, build_parser, run
 
 
 def _json_out(capsys):
@@ -75,6 +76,41 @@ def test_rates_divergent_value_serializes_as_string(capsys):
     record = _json_out(capsys)["results"]["rates"][0]
     assert record["rate_plus"]["value"] == "inf"
     assert record["rate_plus"]["regime"] == "divergent"
+
+
+def test_rates_normal_just_below_p2_exits_zero(capsys):
+    code = run(["rates", "--dist", "normal", "--delta", "0.5", "--p", "1.9999999999999998,2",
+                "--format", "json"])
+    assert code == 0
+    below, at_two = _json_out(capsys)["results"]["rates"]
+    assert below["rate_plus"]["value"] == pytest.approx(at_two["rate_plus"]["value"], rel=1e-12)
+
+
+def test_rates_config_echoes_a_spec_that_rebuilds_the_law(capsys):
+    code = run(["rates", "--dist", "uniform:b=1.2345678", "--p", "1", "--delta", "0.1",
+                "--format", "json"])
+    assert code == 0
+    assert _json_out(capsys)["config"]["dist"] == "uniform:b=1.2345678"
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [line for line in body.splitlines() if line.startswith("lpconc ")]
+    return commands
+
+
+def test_readme_cli_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README example does not parse ({exc.code}): {line}")
 
 
 def test_usage_errors_exit_two():

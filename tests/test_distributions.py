@@ -13,6 +13,8 @@ import tempfile
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -281,6 +283,31 @@ def test_tilted_moments_match_differences_of_the_log_mgf(spec):
                 ), label
 
 
+@pytest.mark.parametrize("spec", ["uniform01", "uniform:b=2", "diffuniform", "normal", "empirical"])
+def test_log_tilted_moments_match_the_log_moment_and_its_differences(spec):
+    # K(q) = log E|x|^q has K' = m and K'' = v, the mean and variance of
+    # log|x| under the tilt |x|^q
+    if spec == "empirical":
+        dist = Empirical(generator(5).standard_normal(200))
+    else:
+        dist = parse_spec(spec)
+    h = 1e-4
+    for s in (+1, -1):
+        for y in (0.05, 0.5, 0.9, 3.0):
+            q = s * y
+            if spec != "empirical" and q - h <= -1.0:
+                continue
+            k, m, v = dist._log_tilted(y, s)
+            below, above = (math.log(dist.abs_moment(q + d)) for d in (-h, h))
+            label = f"s={s} y={y}"
+            assert k == pytest.approx(math.log(dist.abs_moment(q)), rel=1e-12, abs=1e-14), label
+            assert m == pytest.approx((above - below) / (2 * h), rel=1e-6, abs=1e-9), label
+            m_below, m_above = (dist._log_tilted(y + d, s)[1] for d in (-h, h))
+            assert v == pytest.approx(s * (m_above - m_below) / (2 * h), rel=1e-6), label
+    if spec != "empirical":
+        assert dist._log_tilted(1.0, -1)[0] == math.inf
+
+
 def test_neg_moment_closed_forms():
     u = UniformUnit()
     assert u.neg_moment(0.5) == pytest.approx(2.0, rel=1e-10)
@@ -361,6 +388,42 @@ def test_parse_spec_round_trips_every_family():
         parse_spec("mystery:a=1")
     with pytest.raises(ValueError):
         parse_spec("twopoint:r=1")  # missing required a
+
+
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+_probability = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_atom_free = st.one_of(
+    st.builds(UniformSymmetric, _positive),
+    st.just(UniformUnit()),
+    st.just(DiffUniform()),
+    st.just(StandardNormal()),
+)
+_laws = st.one_of(
+    _atom_free,
+    st.builds(TwoPoint, _probability, _positive),
+    st.builds(ThreePointSymmetric, _probability, _positive),
+    st.builds(ZeroInflated, _probability, _atom_free),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_laws)
+def test_parse_spec_inverts_spec_string(dist):
+    assert parse_spec(dist.spec_string()) == dist
+
+
+@pytest.mark.parametrize("spec", [
+    "uniform:b=2",
+    "uniform:b=1.2345678",
+    "twopoint:a=0.5,r=1",
+    "threepoint:a=0.2,r=2",
+    "zeroinflated:a=0.3,base=normal",
+    "zeroinflated:a=0.3,base=uniform01",
+    "zeroinflated:a=0.123456789,base=uniform:b=0.1",
+])
+def test_spec_string_keeps_the_text_it_was_parsed_from(spec):
+    # short parameters keep their short form; long ones are not rounded
+    assert parse_spec(spec).spec_string() == spec
 
 
 def test_load_empirical_column_reads_csv():

@@ -1,4 +1,4 @@
-"""Synthetic embedding populations and retrieval-score kernels."""
+"""Synthetic embedding populations and their tables."""
 
 import math
 
@@ -10,17 +10,12 @@ from lpconc.embedding_lab import (
     BINARY,
     DENSE,
     RELU,
-    RRF_K,
     SPARSE,
     concentration_table,
     contrast_table,
     generate,
-    hadamard_lp,
     kind_by_name,
-    rrf_score,
-    scores,
 )
-from lpconc.seeding import generator
 
 
 def test_kind_registry():
@@ -115,65 +110,3 @@ def test_table_determinism():
     one = concentration_table(kinds=[BINARY], p_grid=[1.0], M=200, seed=3)
     two = concentration_table(kinds=[BINARY], p_grid=[1.0], M=200, seed=3)
     assert one.cells == two.cells
-
-
-def test_rrf_score_values_and_validation():
-    assert rrf_score([1, 1]) == pytest.approx(2.0 / 61.0, rel=1e-15)
-    assert rrf_score([3, 7, 2]) == pytest.approx(1 / 63 + 1 / 67 + 1 / 62, rel=1e-15)
-    assert rrf_score([1], k=0) == 1.0
-    assert RRF_K == 60
-    with pytest.raises(ValueError):
-        rrf_score([])
-    with pytest.raises(ValueError):
-        rrf_score([0, 2])
-    with pytest.raises(ValueError):
-        rrf_score([1.5])
-
-
-def test_scores_cosine_and_hybrid():
-    q = np.array([1.0, 0.0, 1.0])
-    d = np.array([1.0, 1.0, 0.0])
-    pair = scores(q, d, alpha=0.25)
-    assert pair.dense_score == pytest.approx(0.5, rel=1e-15)
-    assert pair.sparse_score == 1.0
-    assert pair.hybrid_score == pytest.approx(0.25 * 0.5 + 0.75 * 1.0, rel=1e-15)
-    assert pair.rrf_score == pytest.approx(2.0 / 61.0, rel=1e-15)
-    assert not pair.dense_zero_flag
-
-
-def test_scores_zero_vector_flag_and_validation():
-    pair = scores(np.zeros(4), np.ones(4))
-    assert pair.dense_zero_flag
-    assert pair.dense_score == 0.0
-    assert pair.sparse_score == 0.0
-    with pytest.raises(ValueError):
-        scores(np.ones(3), np.ones(4))
-    with pytest.raises(ValueError):
-        scores(np.ones(3), np.ones(3), alpha=1.5)
-
-
-def test_hadamard_matches_dot_product_exactly_at_p_1():
-    rng = generator(123, 0)
-    for _ in range(50):
-        q = np.where(rng.random(500) < 0.05, rng.exponential(1.0, 500), 0.0)
-        d = np.where(rng.random(500) < 0.05, rng.exponential(1.0, 500), 0.0)
-        value, overlap = hadamard_lp(q, d, 1.0)
-        assert value == scores(q, d).sparse_score  # bitwise, not approx
-        assert overlap == int(np.count_nonzero((q > 0) & (d > 0)))
-
-
-def test_hadamard_small_p_counts_the_overlap():
-    q = np.array([2.0, 0.0, 0.5, 1.0])
-    d = np.array([1.0, 3.0, 2.0, 0.0])
-    value, overlap = hadamard_lp(q, d, 1e-4)
-    assert overlap == 2
-    assert value == pytest.approx(2.0, rel=1e-3)
-
-
-def test_hadamard_validation():
-    with pytest.raises(ValueError):
-        hadamard_lp(np.ones(3), np.ones(4), 1.0)
-    with pytest.raises(ValueError):
-        hadamard_lp(np.ones(3), np.ones(3), 0.0)
-    with pytest.raises(ValueError):
-        hadamard_lp(np.array([-1.0, 1.0]), np.ones(2), 1.0)

@@ -12,6 +12,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpconc import rate_engine
 from lpconc.closed_forms import diff_uniform_f, phi_closed, uniform_f
@@ -251,6 +253,26 @@ def test_normal_rate_at_p2_is_the_chi_square_rate():
         assert res.argmax_t == pytest.approx(sign * (1.0 - 1.0 / c) / 2.0, rel=1e-6)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    delta=st.floats(min_value=0.01, max_value=20.0),
+    gap=st.floats(min_value=2.220446049250313e-16, max_value=1e-2),
+)
+def test_normal_plus_rate_is_continuous_into_p2(delta, gap):
+    # below p = 2 the MGF is finite for every t, but grows without bound
+    # past the p = 2 divergence edge t = 1/2 as p -> 2
+    at_two = rate(StandardNormal(), 2.0, delta, +1).value
+    below = rate(StandardNormal(), 2.0 - gap, delta, +1)
+    assert below.tolerance_met and below.regime == REGIME_INTERIOR
+    assert below.value == pytest.approx(at_two, rel=gap + 1e-13)
+
+
+def test_normal_uniform_rate_reaches_the_p2_edge():
+    # the p grid ends at 1.9999999999999998, where the plus side used to overflow
+    value = uniform_rate(StandardNormal(), 0.5, +1)
+    assert 0.0 < value <= small_p_rate(StandardNormal(), 0.5, +1)
+
+
 def test_empirical_rate_beats_every_dense_grid_point():
     dist = Empirical(generator(11).standard_normal(300))
     for p, delta, sign in ((0.5, 0.2, +1), (1.0, 0.1, -1), (2.0, 0.3, +1)):
@@ -298,6 +320,64 @@ def test_small_p_rate_generic_route_agrees_with_closed_forms():
             assert generic == pytest.approx(uniform_f(delta, sign), rel=2e-9)
             generic = small_p_rate(DiffUniform(), delta, sign, use_closed_forms=False)
             assert generic == pytest.approx(diff_uniform_f(delta, sign), rel=2e-9)
+
+
+SMALL_P_DELTAS = (0.01, 0.05, 0.1, 0.2, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("dist, closed", [
+    (UniformUnit(), uniform_f),
+    (UniformSymmetric(2.0), uniform_f),
+    (DiffUniform(), diff_uniform_f),
+], ids=["uniform01", "uniform-b2", "diffuniform"])
+def test_small_p_generic_route_is_within_5e_11_of_the_closed_forms(dist, closed):
+    for delta in SMALL_P_DELTAS:
+        for sign in (+1, -1):
+            generic = small_p_rate(dist, delta, sign, use_closed_forms=False)
+            assert generic == pytest.approx(closed(delta, sign), rel=5e-11), (delta, sign)
+
+
+_SMALL_P_SAMPLE = generator(11).standard_normal(300)
+
+
+def _oracle_small_p(law, delta, sign):
+    """sup_q of q*drift - log E|x|^q at the root of its derivative, at 40 digits.
+
+    The half-normal has E|x|^q = 2^{q/2} Gamma((q+1)/2) / sqrt(pi); the
+    empirical law takes exact sums over _SMALL_P_SAMPLE.
+    """
+    with mpmath.workdps(40):
+        if law == "normal":
+            def log_moment(q):
+                return q / 2 * mpmath.log(2) + mpmath.loggamma((q + 1) / 2) - mpmath.loggamma(0.5)
+
+            def log_mean(q):
+                return (mpmath.log(2) + mpmath.digamma((q + 1) / 2)) / 2
+
+            bracket = (-1 + mpmath.mpf(10) ** -30, 0) if sign < 0 else (0, 50)
+        else:
+            logs = [mpmath.log(abs(mpmath.mpf(float(x)))) for x in _SMALL_P_SAMPLE]
+
+            def log_moment(q):
+                return mpmath.log(mpmath.fsum(mpmath.exp(q * l) for l in logs) / len(logs))
+
+            def log_mean(q):
+                weights = [mpmath.exp(q * l) for l in logs]
+                return mpmath.fsum(w * l for w, l in zip(weights, logs)) / mpmath.fsum(weights)
+
+            bracket = (-200, 0) if sign < 0 else (0, 200)
+        drift = mpmath.log(1 + sign * mpmath.mpf(delta)) + log_mean(0)
+        q = mpmath.findroot(lambda q: log_mean(q) - drift, bracket, solver="anderson")
+        return float(q * drift - log_moment(q))
+
+
+@pytest.mark.parametrize("law", ["normal", "empirical"])
+def test_small_p_rate_matches_an_mpmath_root_for_laws_without_closed_forms(law):
+    dist = StandardNormal() if law == "normal" else Empirical(_SMALL_P_SAMPLE)
+    for delta in SMALL_P_DELTAS:
+        for sign in (+1, -1):
+            ref = _oracle_small_p(law, delta, sign)
+            assert small_p_rate(dist, delta, sign) == pytest.approx(ref, rel=5e-11), (delta, sign)
 
 
 def test_small_p_rate_quadratic_in_delta_matches_inverse_log_variance():
@@ -393,6 +473,20 @@ def test_contrast_bounds_three_input_forms():
     assert 0.0 <= single[0] <= 1.0
     # a huge rate clips the bound at 1 from below 1
     assert contrast_bounds(math.inf, 10, 0.5) == (1.0, 1.0)
+
+
+_rates = st.one_of(st.floats(min_value=0.0, max_value=1e6), st.just(math.inf))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rates=st.tuples(_rates, _rates),
+    n=st.integers(min_value=1, max_value=10**7),
+    delta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_contrast_bounds_stay_in_the_unit_interval(rates, n, delta):
+    for bound in contrast_bounds(rates, n, delta):
+        assert 0.0 <= bound <= 1.0
 
 
 def test_rate_result_serialization_maps_infinities():
