@@ -70,20 +70,6 @@ class AntiConcReport:
     seed: int | None = None
     diagnostic: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "target_Delta": self.target_Delta,
-            "p_star": self.p_star,
-            "exact_prob_at_p_star": self.exact_prob_at_p_star,
-            "binomial_mode_prob": self.binomial_mode_prob,
-            "method": self.method,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "diagnostic": self.diagnostic,
-        }
-
 
 def _validate_two_point(a: float, r: float, p: float, delta: float, n: int) -> None:
     if not 0.0 < a < 1.0:

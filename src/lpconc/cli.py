@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from typing import Sequence
 
 from . import anti_concentration, closed_forms, diagnostics, embedding_lab, monte_carlo
@@ -27,30 +27,10 @@ from .distributions import moment_report, parse_spec, validate_assumptions
 SCHEMA_VERSION = 1
 WORKERS_ENV = "LPCONC_WORKERS"
 
-__all__ = ["main", "run", "RunConfig", "SCHEMA_VERSION", "WORKERS_ENV"]
+__all__ = ["main", "run", "SCHEMA_VERSION", "WORKERS_ENV"]
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one invocation; embedded in every artifact."""
-
-    subcommand: str
-    dist: str | None = None
-    p_grid: tuple[float, ...] | None = None
-    n_grid: tuple[int, ...] | None = None
-    delta: float | None = None
-    M: int | None = None
-    seed: int | None = None
-    out: str | None = None
-    format: str = "json"
-    normalization: str | None = None
-    workers: int | None = None
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        record = {k: v for k, v in asdict(self).items() if k != "extra" and v is not None}
-        record.update(self.extra)
-        return record
+# argument names whose artifact key differs
+_CONFIG_NAMES = {"p": "p_grid", "n": "n_grid", "gap": "gap_prob", "p_probe": "p"}
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -73,13 +53,37 @@ def _ints(text: str) -> tuple[int, ...]:
     return values
 
 
-def _default_workers() -> int | None:
-    raw = os.environ.get(WORKERS_ENV)
-    return int(raw) if raw else None
+def _resolve(args: argparse.Namespace) -> None:
+    """Replace the law spec, kind list and missing worker count by what they
+    resolve to, in place."""
+    if "dist" in args:
+        args.dist = parse_spec(args.dist)
+    if "kinds" in args:
+        args.kinds = tuple(embedding_lab.kind_by_name(name.strip()) for name in args.kinds.split(","))
+    if "workers" in args and args.workers is None:
+        raw = os.environ.get(WORKERS_ENV)
+        args.workers = int(raw) if raw else None
 
 
-def _sanitize(value):
-    """JSON-safe copy: non-finite floats become strings."""
+def _config(args: argparse.Namespace) -> dict:
+    """The resolved arguments under their artifact names; unset ones are left out."""
+    config = {}
+    for name, value in vars(args).items():
+        if value is None:
+            continue
+        if name == "dist":
+            value = value.spec_string()
+        elif name == "kinds":
+            value = [kind.name for kind in value]
+        elif name == "n" and isinstance(value, int):
+            value = (value,)
+        config[_CONFIG_NAMES.get(name, name)] = value
+    return config
+
+
+def _sanitize(value, names: dict | None = None):
+    """JSON-safe copy: non-finite floats become strings, and dict keys found
+    in names are renamed, at every depth."""
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
@@ -89,10 +93,16 @@ def _sanitize(value):
             return "-inf"
         return value
     if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
+        return {(names or {}).get(k, k): _sanitize(v, names) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
+        return [_sanitize(v, names) for v in value]
     return value
+
+
+def _record(result, **renames) -> dict:
+    """A result dataclass as artifacts record it: its fields, with
+    ci_halfwidth named ci and each of renames applied, at every depth."""
+    return _sanitize(asdict(result), {"ci_halfwidth": "ci", **renames})
 
 
 def _cell(value) -> str:
@@ -103,17 +113,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, payload: dict, header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    if config.format == "json":
+def _emit(config: dict, payload: dict, header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    if config["format"] == "json":
         document = {
             "schema_version": SCHEMA_VERSION,
-            "config": _sanitize(config.to_json_dict()),
+            "config": _sanitize(config),
             "results": _sanitize(payload),
         }
         return json.dumps(document, indent=2, sort_keys=True) + "\n"
     buffer = io.StringIO()
     buffer.write(f"# schema_version={SCHEMA_VERSION}\n")
-    for key, value in sorted(config.to_json_dict().items()):
+    for key, value in sorted(config.items()):
         buffer.write(f"# {key}={value}\n")
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -130,31 +140,24 @@ def _write(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _cmd_rates(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    dist = parse_spec(args.dist)
-    config = RunConfig(
-        subcommand="rates",
-        dist=dist.spec_string(),
-        p_grid=args.p,
-        delta=args.delta,
-        out=args.out,
-        format=args.format,
-    )
+def _cmd_rates(args) -> tuple[dict, list[str], list[list]]:
     rows = []
     records = []
     for p in args.p:
-        plus = rate_engine.rate(dist, p, args.delta, +1)
-        minus = rate_engine.rate(dist, p, args.delta, -1)
-        cf_plus = closed_forms.small_p_closed(dist.closed_family, args.delta, +1)
-        cf_minus = closed_forms.small_p_closed(dist.closed_family, args.delta, -1)
+        plus = rate_engine.rate(args.dist, p, args.delta, +1)
+        minus = rate_engine.rate(args.dist, p, args.delta, -1)
+        cf_plus = closed_forms.small_p_closed(args.dist.closed_family, args.delta, +1)
+        cf_minus = closed_forms.small_p_closed(args.dist.closed_family, args.delta, -1)
         rows.append(
             [p, plus.value, minus.value, plus.regime, minus.regime, cf_plus, cf_minus]
         )
+        rate_plus, rate_minus = _record(plus), _record(minus)
+        del rate_plus["iterations"], rate_minus["iterations"]
         records.append(
             {
                 "p": p,
-                "rate_plus": plus.json_record(),
-                "rate_minus": minus.json_record(),
+                "rate_plus": rate_plus,
+                "rate_minus": rate_minus,
                 "small_p_closed_form_plus": cf_plus,
                 "small_p_closed_form_minus": cf_minus,
             }
@@ -168,64 +171,34 @@ def _cmd_rates(args) -> tuple[RunConfig, dict, list[str], list[list]]:
         "small_p_closed_form_plus",
         "small_p_closed_form_minus",
     ]
-    return config, {"rates": records}, header, rows
+    return {"rates": records}, header, rows
 
 
-def _cmd_curve(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    dist = parse_spec(args.dist)
-    workers = args.workers if args.workers is not None else _default_workers()
-    config = RunConfig(
-        subcommand="curve",
-        dist=dist.spec_string(),
-        p_grid=args.p,
-        n_grid=args.n,
-        delta=args.delta,
-        M=args.M,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        normalization=args.normalization,
-        workers=workers,
-    )
+def _cmd_curve(args) -> tuple[dict, list[str], list[list]]:
     grid = monte_carlo.curve_sweep(
-        dist,
+        args.dist,
         p_grid=args.p,
         n_grid=args.n,
         delta=args.delta,
         M=args.M,
         seed=args.seed,
         normalization=args.normalization,
-        workers=workers,
+        workers=args.workers,
     )
     rows = [list(row) for row in grid.rows()]
-    return config, grid.to_json_dict(), ["p", "n", "frequency", "ci_halfwidth"], rows
+    return _record(grid, sample_count="M"), ["p", "n", "frequency", "ci_halfwidth"], rows
 
 
-def _cmd_contrast(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    dist = parse_spec(args.dist)
-    workers = args.workers if args.workers is not None else _default_workers()
-    config = RunConfig(
-        subcommand="contrast",
-        dist=dist.spec_string(),
-        p_grid=args.p,
-        n_grid=(args.n,),
-        delta=args.delta,
-        M=args.M,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        normalization=args.normalization,
-        workers=workers,
-    )
+def _cmd_contrast(args) -> tuple[dict, list[str], list[list]]:
     summaries = monte_carlo.contrast_sweep(
-        dist,
+        args.dist,
         n=args.n,
         p_grid=args.p,
         M=args.M,
         seed=args.seed,
         delta=args.delta,
         normalization=args.normalization,
-        workers=workers,
+        workers=args.workers,
     )
     header = [
         "p",
@@ -240,33 +213,19 @@ def _cmd_contrast(args) -> tuple[RunConfig, dict, list[str], list[list]]:
         [s.p, s.n, s.median_rc, s.freq_below_delta, s.joint_half_band_freq, s.skipped, s.ci_halfwidth]
         for s in summaries
     ]
-    return config, {"contrast": [s.to_json_dict() for s in summaries]}, header, rows
+    return {"contrast": [_record(s) for s in summaries]}, header, rows
 
 
-def _cmd_pstar(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    dist = parse_spec(args.dist)
-    workers = args.workers if args.workers is not None else _default_workers()
-    config = RunConfig(
-        subcommand="pstar",
-        dist=dist.spec_string(),
-        n_grid=(args.n,),
-        delta=args.delta,
-        M=args.M,
-        out=args.out,
-        format=args.format,
-        workers=workers,
-        extra={"Delta": args.Delta, "method": args.method},
-    )
+def _cmd_pstar(args) -> tuple[dict, list[str], list[list]]:
     report = anti_concentration.find_p_star(
-        dist,
+        args.dist,
         n=args.n,
         delta=args.delta,
         Delta=args.Delta,
         method=args.method,
         M=args.M,
-        workers=workers,
+        workers=args.workers,
     )
-    record = report.to_json_dict()
     header = ["n", "delta", "target_Delta", "p_star", "prob_at_p_star", "mode_prob", "method"]
     rows = [
         [
@@ -279,44 +238,33 @@ def _cmd_pstar(args) -> tuple[RunConfig, dict, list[str], list[list]]:
             report.method,
         ]
     ]
-    return config, record, header, rows
+    return _record(report), header, rows
 
 
-def _cmd_embedsim(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    kinds = tuple(embedding_lab.kind_by_name(name.strip()) for name in args.kinds.split(","))
-    config = RunConfig(
-        subcommand="embedsim",
-        p_grid=args.p,
-        delta=args.delta,
-        M=args.M,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        extra={"table": args.table, "kinds": [k.name for k in kinds], "pairs": args.pairs},
-    )
+def _cmd_embedsim(args) -> tuple[dict, list[str], list[list]]:
     payload: dict = {}
     rows: list[list] = []
     if args.table in ("concentration", "both"):
         table = embedding_lab.concentration_table(
-            kinds,
+            args.kinds,
             p_grid=args.p or embedding_lab.DEFAULT_CONCENTRATION_P,
             delta=args.delta,
             M=args.M,
             seed=args.seed,
         )
-        payload["concentration"] = table.to_json_dict()
+        payload["concentration"] = _record(table, sample_count="M")
         rows.extend(["concentration", *row] for row in table.rows())
     if args.table in ("contrast", "both"):
         table = embedding_lab.contrast_table(
-            kinds,
+            args.kinds,
             p_grid=args.p or embedding_lab.DEFAULT_CONTRAST_P,
             pairs=args.pairs,
             seed=args.seed,
         )
-        payload["median_contrast"] = table.to_json_dict()
+        payload["median_contrast"] = _record(table, sample_count="M")
         rows.extend(["median-contrast", *row] for row in table.rows())
     header = ["table", "kind", "p", "value", "ci_halfwidth", "skipped"]
-    return config, payload, header, rows
+    return payload, header, rows
 
 
 def _load_prepared(args) -> diagnostics.Dataset:
@@ -337,50 +285,19 @@ def _dataset_summary(data: diagnostics.Dataset) -> dict:
     }
 
 
-def _cmd_diagnose(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    config = RunConfig(
-        subcommand="diagnose",
-        p_grid=args.p,
-        delta=args.delta,
-        out=args.out,
-        format=args.format,
-        normalization=args.normalization,
-        extra={
-            "input": args.input,
-            "standardize": args.standardize,
-            "keep_constant": args.keep_constant,
-            "missing_policy": args.missing_policy,
-        },
-    )
+def _cmd_diagnose(args) -> tuple[dict, list[str], list[list]]:
     data = _load_prepared(args)
     curve = diagnostics.concentration_curve(
         data, p_grid=args.p, delta=args.delta, normalization=args.normalization
     )
-    payload = {"dataset": _dataset_summary(data), "curve": curve.to_json_dict()}
-    rows = [
-        [p, fraction, flagged]
-        for p, fraction, flagged in zip(curve.p_grid, curve.fraction, curve.flagged)
-    ]
-    return config, payload, ["p", "fraction", "flagged"], rows
+    header = ["p", "fraction", "flagged"]
+    rows = [list(point) for point in zip(curve.p_grid, curve.fraction, curve.flagged)]
+    points = [dict(zip(header, row)) for row in rows]
+    curve_record = {"delta": curve.delta, "normalization": curve.normalization, "points": points}
+    return {"dataset": _dataset_summary(data), "curve": curve_record}, header, rows
 
 
-def _cmd_perturb(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    config = RunConfig(
-        subcommand="perturb",
-        p_grid=args.p,
-        delta=args.delta,
-        seed=args.seed,
-        out=args.out,
-        format=args.format,
-        normalization=args.normalization,
-        extra={
-            "input": args.input,
-            "gap_prob": args.gap,
-            "standardize": args.standardize,
-            "keep_constant": args.keep_constant,
-            "missing_policy": args.missing_policy,
-        },
-    )
+def _cmd_perturb(args) -> tuple[dict, list[str], list[list]]:
     data = _load_prepared(args)
     report = diagnostics.perturb_report(
         data,
@@ -390,26 +307,18 @@ def _cmd_perturb(args) -> tuple[RunConfig, dict, list[str], list[list]]:
         delta=args.delta,
         normalization=args.normalization,
     )
-    payload = {"dataset": _dataset_summary(data), **report.to_json_dict()}
+    payload = {"dataset": _dataset_summary(data), **_record(report)}
     rows = [[row.p, row.frac_original, row.frac_perturbed] for row in report.curves]
-    return config, payload, ["p", "frac_original", "frac_perturbed"], rows
+    return payload, ["p", "frac_original", "frac_perturbed"], rows
 
 
-def _cmd_validate(args) -> tuple[RunConfig, dict, list[str], list[list]]:
-    dist = parse_spec(args.dist)
-    config = RunConfig(
-        subcommand="validate",
-        dist=dist.spec_string(),
-        out=args.out,
-        format=args.format,
-        extra={"p": args.p_probe},
-    )
-    assumptions = validate_assumptions(dist)
-    moments = moment_report(dist, args.p_probe)
+def _cmd_validate(args) -> tuple[dict, list[str], list[list]]:
+    assumptions = validate_assumptions(args.dist)
+    moments = moment_report(args.dist, args.p_probe)
     payload = {"assumptions": asdict(assumptions), "moments": asdict(moments)}
     header = ["field", "value"]
     rows = [[k, v] for k, v in {**asdict(assumptions), **{f"moment_{k}": v for k, v in asdict(moments).items()}}.items()]
-    return config, payload, header, rows
+    return payload, header, rows
 
 
 _HANDLERS = {
@@ -553,8 +462,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.subcommand]
     try:
-        config, payload, header, rows = handler(args)
-        _write(_emit(config, payload, header, rows), config.out)
+        _resolve(args)
+        payload, header, rows = handler(args)
+        _write(_emit(_config(args), payload, header, rows), args.out)
     except (ValueError, OSError, KeyError) as error:
         print(f"lpconc: {error}", file=sys.stderr)
         return 1

@@ -18,9 +18,9 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
 
-from .monte_carlo import _row_logsumexp
+from .monte_carlo import _band_count, _log_abs, _log_norms_at, _pooled_log_mu
 from .seeding import generator
 
 __all__ = [
@@ -348,16 +348,6 @@ class ConcentrationCurve:
     delta: float
     normalization: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "normalization": self.normalization,
-            "points": [
-                {"p": p, "fraction": f, "flagged": bad}
-                for p, f, bad in zip(self.p_grid, self.fraction, self.flagged)
-            ],
-        }
-
 
 def concentration_curve(
     data: Dataset,
@@ -378,34 +368,27 @@ def concentration_curve(
         raise ValueError("delta must lie in (0, 1)")
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(data.values))
-    lo, hi = math.log1p(-delta), math.log1p(delta)
+    logs = _log_abs(data.values)
+    per_column = normalization == "per-column"
     fractions: list[float] = []
     flagged: list[bool] = []
-    for p in p_grid:
-        if not p > 0:
-            raise ValueError("p values must be positive")
-        if normalization == "pooled":
-            row_log_sums = _row_logsumexp(p * logs)
-            # log of n * mu_p with mu_p pooled over all entries
-            log_total = logsumexp(row_log_sums) - math.log(data.M)
-            if not np.isfinite(log_total):
-                fractions.append(math.nan)
-                flagged.append(True)
-                continue
-            log_ratio = (row_log_sums - log_total) / p
+    # per-column reduces the columns first, then divides each entry by its
+    # column's mu_j^(1/p) so that the typical row value is 1
+    by_p = _log_norms_at(logs.T if per_column else logs, p_grid, logs_taken=True)
+    for p, log_norms in zip(p_grid, by_p):
+        if per_column:
+            log_scale = log_norms - math.log(data.M) / p
+            log_mu = 0.0 if np.isfinite(log_scale).all() else math.nan
+            if log_mu == 0.0:
+                log_norms = _log_norms_at(logs - log_scale, (p,), logs_taken=True)[0]
         else:
-            col_log_mu = _row_logsumexp(p * logs.T) - math.log(data.M)
-            if not np.all(np.isfinite(col_log_mu)):
-                fractions.append(math.nan)
-                flagged.append(True)
-                continue
-            scaled = _row_logsumexp(p * logs - col_log_mu)
-            log_ratio = (scaled - math.log(data.n)) / p
-        inside = np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi))
-        fractions.append(inside / data.M)
-        flagged.append(False)
+            log_mu = _pooled_log_mu(log_norms, p, logs.size)
+        if math.isfinite(log_mu):
+            fractions.append(_band_count(log_norms, data.n, p, log_mu, delta) / data.M)
+            flagged.append(False)
+        else:
+            fractions.append(math.nan)
+            flagged.append(True)
     return ConcentrationCurve(
         tuple(float(p) for p in p_grid),
         tuple(fractions),
@@ -435,26 +418,6 @@ class PerturbReport:
     curves: tuple[CurveRow, ...]
     delta: float
     normalization: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gap_prob": self.gap_prob,
-            "wasserstein_total": self.wasserstein_total,
-            "ks_min_pvalue": self.ks_min_pvalue,
-            "ks_statistic_max": self.ks_statistic_max,
-            "seed": self.seed,
-            "realized_fraction": self.realized_fraction,
-            "delta": self.delta,
-            "normalization": self.normalization,
-            "curves": [
-                {
-                    "p": row.p,
-                    "frac_original": row.frac_original,
-                    "frac_perturbed": row.frac_perturbed,
-                }
-                for row in self.curves
-            ],
-        }
 
 
 def perturb_report(

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
 
-from .monte_carlo import _chunk_plan, _log_norms_at, _row_logsumexp, wilson_halfwidth
+from .monte_carlo import (
+    _band_count,
+    _chunk_plan,
+    _log_abs,
+    _log_norms_at,
+    _pooled_log_mu,
+    wilson_halfwidth,
+)
 from .seeding import derive_seed, generator
 
 __all__ = [
@@ -114,24 +121,6 @@ class EmbeddingTable:
                 return item
         raise KeyError(f"no cell ({kind}, {p})")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "delta": self.delta,
-            "M": self.sample_count,
-            "seed": self.seed,
-            "cells": [
-                {
-                    "kind": c.kind,
-                    "p": c.p,
-                    "value": c.value,
-                    "ci": c.ci_halfwidth,
-                    "skipped": c.skipped,
-                }
-                for c in self.cells
-            ],
-        }
-
     def rows(self):
         for c in self.cells:
             yield c.kind, c.p, c.value, c.ci_halfwidth, c.skipped
@@ -153,17 +142,11 @@ def concentration_table(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     cells: list[TableCell] = []
-    lo, hi = math.log1p(-delta), math.log1p(delta)
     for kind in kinds:
-        batch = generate(kind, M, derive_seed(seed, _KIND_INDEX[kind.name], 0))
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(batch))
-        for p in p_grid:
-            row_log_sums = _row_logsumexp(p * logs)
-            row_lognorm = row_log_sums / p
-            pooled = logsumexp(row_log_sums) - math.log(batch.size)
-            log_ratio = row_lognorm - (math.log(kind.dim) + pooled) / p
-            inside = int(np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi)))
+        logs = _log_abs(generate(kind, M, derive_seed(seed, _KIND_INDEX[kind.name], 0)))
+        for p, log_norms in zip(p_grid, _log_norms_at(logs, p_grid, logs_taken=True)):
+            log_mu = _pooled_log_mu(log_norms, p, logs.size)
+            inside = _band_count(log_norms, kind.dim, p, log_mu, delta)
             cells.append(
                 TableCell(kind.name, float(p), inside / M, wilson_halfwidth(inside, M))
             )

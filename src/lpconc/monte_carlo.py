@@ -203,10 +203,15 @@ def _law_log_mu(dist: Distribution, p: float, normalization: str) -> float | Non
     return _checked_log_mu(log_mu)
 
 
-def _sample_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:
+def _pooled_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:
     """log of the mean of |entry|^p over a sample of that many entries,
-    pooled from its row log-norms."""
-    return _checked_log_mu(float(logsumexp(p * log_norms)) - math.log(entries))
+    pooled from its row log-norms; not finite when that mean is 0 or inf."""
+    return float(logsumexp(p * log_norms)) - math.log(entries)
+
+
+def _sample_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:
+    """_pooled_log_mu, raising where it is not finite."""
+    return _checked_log_mu(_pooled_log_mu(log_norms, p, entries))
 
 
 def _check_band(n: int, delta: float, M: int) -> None:
@@ -297,18 +302,6 @@ class ConcentrationGrid:
     normalization: str
     failed: tuple[tuple[int, int, str], ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p_grid": list(self.p_grid),
-            "n_grid": list(self.n_grid),
-            "freq": [list(row) for row in self.freq],
-            "ci": [list(row) for row in self.ci_halfwidth],
-            "M": self.sample_count,
-            "seed": self.seed,
-            "normalization": self.normalization,
-            "failed": [list(item) for item in self.failed],
-        }
-
     def rows(self):
         """Long-format (p, n, freq, ci) rows for CSV emission."""
         for i, p in enumerate(self.p_grid):
@@ -377,21 +370,6 @@ class ContrastSummary:
     joint_half_band_freq: float
     ci_halfwidth: float
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "median_rc": self.median_rc,
-            "freq_below_delta": self.freq_below_delta,
-            "delta": self.delta,
-            "pairs": self.pairs,
-            "skipped": self.skipped,
-            "skipped_fraction": self.skipped_fraction,
-            "joint_half_band_freq": self.joint_half_band_freq,
-            "ci": self.ci_halfwidth,
-            "seed": self.seed,
-        }
 
 
 def contrast_sweep(

@@ -68,17 +68,6 @@ class RateResult:
     iterations: int
     tolerance_met: bool
 
-    def json_record(self) -> dict:
-        value: float | str = self.value
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf"
-        return {
-            "value": value,
-            "argmax_t": self.argmax_t,
-            "regime": self.regime,
-            "tolerance_met": self.tolerance_met,
-        }
-
 
 @dataclass(frozen=True)
 class BoundResult:

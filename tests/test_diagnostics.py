@@ -6,6 +6,7 @@ CDF-area computation.
 """
 
 import csv
+import json
 import math
 import warnings
 
@@ -15,6 +16,7 @@ from scipy.special import kolmogorov
 from scipy.stats import ks_2samp, wasserstein_distance
 
 from lpconc import diagnostics
+from lpconc.cli import _record, run
 from lpconc.diagnostics import (
     Dataset,
     concentration_curve,
@@ -389,12 +391,15 @@ def test_curve_single_binary_column_hand_computed():
     assert curve.fraction[1] == 0.5
 
 
-def test_curve_flags_unrepresentable_points():
+def test_curve_flags_unrepresentable_points(tmp_path, capsys):
     data = Dataset(np.zeros((4, 3)), ("a", "b", "c"))
     curve = concentration_curve(data, p_grid=[0.5, 1.0])
     assert curve.flagged == (True, True)
     assert all(math.isnan(f) for f in curve.fraction)
-    record = curve.to_json_dict()
+    path = tmp_path / "zeros.csv"
+    path.write_text("a,b,c\n" + "0,0,0\n" * 4)
+    assert run(["diagnose", "--input", str(path), "--p", "0.5,1", "--keep-constant"]) == 0
+    record = json.loads(capsys.readouterr().out)["results"]["curve"]
     assert record["points"][0]["flagged"] is True
 
 
@@ -455,7 +460,7 @@ def test_perturb_report_detects_gaps():
     # zeros destroy small-p concentration
     small_p = report.curves[0]
     assert small_p.frac_perturbed < small_p.frac_original
-    record = report.to_json_dict()
+    record = _record(report)
     assert record["gap_prob"] == 0.2
     assert len(record["curves"]) == 2
     assert {"p", "frac_original", "frac_perturbed"} == set(record["curves"][0])

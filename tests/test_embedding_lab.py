@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lpconc.cli import _record
 from lpconc.embedding_lab import (
     ALL_KINDS,
     BINARY,
@@ -88,7 +89,7 @@ def test_concentration_table_wiring():
     assert 0.0 <= table.cell("dense", 0.5).value <= 1.0
     with pytest.raises(KeyError):
         table.cell("dense", 7.0)
-    record = table.to_json_dict()
+    record = _record(table, sample_count="M")
     assert record["label"] == "concentration" and record["M"] == 300
     assert len(record["cells"]) == 2
     assert {"kind", "p", "value", "ci", "skipped"} == set(record["cells"][0])

@@ -3,8 +3,11 @@
 The digests were recorded from the artifacts written before the config and
 result records were built from the parsed arguments and dataclass fields; a
 change to either record path that moves one byte of any artifact shows up
-here.  Each case runs in a temporary directory with a relative --input, so
-the echoed input path is part of the digest, and without LPCONC_WORKERS, so
+here.  The four diagnose and perturb CSV digests were recorded again when
+their fraction cells changed from numpy's ``np.float64(0.65)`` repr to the
+plain ``0.65`` of every other float cell; nothing else in them moved.
+Each case runs in a temporary directory with a relative --input, so the
+echoed input path is part of the digest, and without LPCONC_WORKERS, so
 the echoed worker count is the one given on the command line.  The digests
 hold for the numpy and scipy this suite was recorded with (numpy 2.4,
 scipy 1.17); a library that moves a last bit of a float moves them too.
@@ -57,15 +60,15 @@ DIGESTS = {
     ("embedsim-p", "json"): "a5bd3a3696d8278436f692d80535a98af768606eeb2f6334788a5b6c168f37b4",
     ("embedsim-p", "csv"): "2effee939f4e8097c05d75fe6b4ec31a1518e0ea1d16061c13c354f131ececf9",
     ("diagnose", "json"): "466198dd1ea096000d7e010591efc7d70015ce17019560285057f2be8722fb73",
-    ("diagnose", "csv"): "aad963575e22aa45f37b73bb1611419db58401c2ab9409cb255b97c728d2b566",
+    ("diagnose", "csv"): "4917845b69e4191b8cd89df6932ac56f3a7298e65d2e5532930a51f00636f9db",
     ("diagnose-per-column", "json"): "5162b6c00fa4dcdd0348f500bab018ec5ca425f2ebfcbb6caf2ed613021170f6",
-    ("diagnose-per-column", "csv"): "8b45e7d4dfa8774eae11cfddeed5f72e9013443dc6a8039c026ae45b35aa0485",
+    ("diagnose-per-column", "csv"): "fa19aeaac39bd8e5721df5f62ad17979516318eaf98be3393be643aa64d660b6",
     ("diagnose-zero-column", "json"): "668cec965e9f76d45e04941f2ecdad103062393d2682e8786de6064957cd245d",
     ("diagnose-zero-column", "csv"): "a45534ce3031aee69bfa45cd075e26f1fb1ba5fac74c2883755428336006c8e2",
     ("perturb", "json"): "a1b7f0fc6eea25020289e2bdd466f40658aabad98473830131a41d987f7e5786",
-    ("perturb", "csv"): "375730c13072ebe46f083218a1bdbc783e2c091bb6e50b988d9ad5130597315c",
+    ("perturb", "csv"): "3c06138a83cc1f15aaf18ccf17ce108515aa5905e26b9311e713cbfd62052a90",
     ("perturb-per-column", "json"): "27fbfaf1e32510a37183aefe0a0b158b19ef1a052e6d1bde596d5de3abbdd20f",
-    ("perturb-per-column", "csv"): "74ccaabacacd58479e0479ff94895f65c66124e5735bb454f23f3882a405851a",
+    ("perturb-per-column", "csv"): "63b0ed50435b6f4c8cde5248b1a49cabde25ef4a4bd4672681acaff8926ab91d",
     ("validate", "json"): "7aea7f9a30258edafb413069ae85d5c88430be10ac5c61a2cc9f7668b66ae352",
     ("validate", "csv"): "c82b3641463f2342fc82249851a92d1af4dfb0f82379f68481e07aa27366ac33",
 }

@@ -16,6 +16,7 @@ from scipy.stats import binom, norm
 
 from lpconc import monte_carlo
 from lpconc.anti_concentration import find_p_star
+from lpconc.cli import _record
 from lpconc.distributions import (
     StandardNormal,
     TwoPoint,
@@ -309,7 +310,7 @@ def test_curve_sweep_cell_streams_do_not_shift_with_grid_growth():
 
 def test_curve_sweep_serialization_round_trip():
     grid = curve_sweep(UniformUnit(), p_grid=[1.0], n_grid=[8, 16], M=150, seed=1)
-    record = grid.to_json_dict()
+    record = _record(grid, sample_count="M")
     assert set(record) == {"p_grid", "n_grid", "freq", "ci", "M", "seed",
                           "normalization", "failed"}
     assert record["M"] == 150
@@ -363,7 +364,7 @@ def test_relative_contrast_validation_and_serialization():
     with pytest.raises(ValueError):
         relative_contrast(UniformUnit(), n=10, p=1.0, M=200, seed=0, delta=1.0)
     summary = relative_contrast(UniformUnit(), n=16, p=1.0, M=200, seed=0, delta=0.1)
-    record = summary.to_json_dict()
+    record = _record(summary)
     assert record["pairs"] == 200
     assert record["p"] == 1.0 and record["n"] == 16
     assert {"median_rc", "freq_below_delta", "joint_half_band_freq", "ci",
@@ -387,9 +388,7 @@ def test_contrast_sweep_matches_one_relative_contrast_per_p(monkeypatch):
         dist, drawn = _counting()
         swept = contrast_sweep(dist, n, ps, **kwargs)
         assert sum(drawn) == 2 * M * n and len(drawn) == 4
-        assert [s.to_json_dict() for s in swept] == [
-            relative_contrast(UniformUnit(), n, p, **kwargs).to_json_dict() for p in ps
-        ]
+        assert list(swept) == [relative_contrast(UniformUnit(), n, p, **kwargs) for p in ps]
 
 
 def test_contrast_sweep_checks_every_p_before_drawing():
@@ -467,9 +466,8 @@ def test_outputs_do_not_depend_on_workers_or_chunking(sizes):
             mp.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", rows * n)
             mp.setattr(monte_carlo, "_HELD_ENTRIES", held * rows * n if workers > 1 else 1 << 25)
             results.append((
-                curve_sweep(dist, (0.1, 1.0), (n,), M=M, seed=5, workers=workers).to_json_dict(),
-                [s.to_json_dict() for s in contrast_sweep(
-                    UniformUnit(), n, (0.1, 1.0), M, 5, 0.2, "empirical-mu", workers)],
+                curve_sweep(dist, (0.1, 1.0), (n,), M=M, seed=5, workers=workers),
+                contrast_sweep(UniformUnit(), n, (0.1, 1.0), M, 5, 0.2, "empirical-mu", workers),
                 find_p_star(dist, n, 0.1, 0.2, method="monte-carlo", M=M, iterations=6,
                             workers=workers),
             ))

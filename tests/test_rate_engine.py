@@ -7,6 +7,7 @@ first-order condition, with 1F1 and the incomplete gamma as the MGF.
 Frozen constants come from those routes at high resolution.
 """
 
+import json
 import math
 
 import mpmath
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpconc import rate_engine
+from lpconc.cli import run
 from lpconc.closed_forms import diff_uniform_f, phi_closed, uniform_f
 from lpconc.distributions import (
     DiffUniform,
@@ -489,10 +491,12 @@ def test_contrast_bounds_stay_in_the_unit_interval(rates, n, delta):
         assert 0.0 <= bound <= 1.0
 
 
-def test_rate_result_serialization_maps_infinities():
-    record = rate(UniformUnit(), 19.0, 0.2, +1).json_record()
+def test_rate_result_serialization_maps_infinities(capsys):
+    assert run(["rates", "--dist", "uniform01", "--p", "19,1", "--delta", "0.2",
+                "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)["results"]["rates"]
+    record, finite = (item["rate_plus"] for item in records)
     assert record["value"] == "inf"
     assert record["regime"] == REGIME_DIVERGENT
-    finite = rate(UniformUnit(), 1.0, 0.2, +1).json_record()
     assert isinstance(finite["value"], float)
     assert set(finite) == {"value", "argmax_t", "regime", "tolerance_met"}
