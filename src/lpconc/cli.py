@@ -59,7 +59,8 @@ def _resolve(args: argparse.Namespace) -> None:
     if "dist" in args:
         args.dist = parse_spec(args.dist)
     if "kinds" in args:
-        args.kinds = tuple(embedding_lab.kind_by_name(name.strip()) for name in args.kinds.split(","))
+        names = args.kinds.split(",")
+        args.kinds = tuple(embedding_lab.kind_by_name(name.strip()) for name in names)
     if "workers" in args and args.workers is None:
         raw = os.environ.get(WORKERS_ENV)
         args.workers = int(raw) if raw else None

@@ -71,10 +71,13 @@ def diff_uniform_maximizer(delta: float, sign) -> float:
 
 
 def small_p_closed(family: str | None, delta: float, sign) -> float | None:
-    """Small-p rate for a family that has a closed one; None otherwise.
+    """Small-p rate for a family that has a closed one; None otherwise,
+    and outside 0 < delta < 1, where the closed forms are not defined.
 
     The small-p limit is scale-free, so every uniform |x| shares uniform_f.
     """
+    if not 0.0 < delta < 1.0:
+        return None
     if family == "uniform-cube":
         return uniform_f(delta, sign)
     if family == "diff-uniform":

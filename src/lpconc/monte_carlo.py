@@ -191,7 +191,7 @@ def _checked_log_mu(log_mu: float) -> float:
 def _law_log_mu(dist: Distribution, p: float, normalization: str) -> float | None:
     """log of the law's mean of |entry|^p under analytic-mu, checked before
     anything is drawn; None under empirical-mu, which pools it from the
-    sample (see _sample_log_mu)."""
+    sample (see _pooled_log_mu)."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
     if normalization == "empirical-mu":
@@ -207,11 +207,6 @@ def _pooled_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:
     """log of the mean of |entry|^p over a sample of that many entries,
     pooled from its row log-norms; not finite when that mean is 0 or inf."""
     return float(logsumexp(p * log_norms)) - math.log(entries)
-
-
-def _sample_log_mu(log_norms: np.ndarray, p: float, entries: int) -> float:
-    """_pooled_log_mu, raising where it is not finite."""
-    return _checked_log_mu(_pooled_log_mu(log_norms, p, entries))
 
 
 def _check_band(n: int, delta: float, M: int) -> None:
@@ -253,7 +248,7 @@ def concentration_frequency(
     log_mu = _law_log_mu(dist, p, normalization)
     log_norms = _sample_log_norms(dist, (n,), (p,), M, seed, workers)[0]
     if log_mu is None:
-        log_mu = _sample_log_mu(log_norms, p, M * n)
+        log_mu = _checked_log_mu(_pooled_log_mu(log_norms, p, M * n))
     inside = _band_count(log_norms, n, p, log_mu, delta)
     return inside / M, wilson_halfwidth(inside, M)
 
@@ -405,7 +400,7 @@ def contrast_sweep(
     summaries = []
     for p, log_mu, log_norm in zip(ps, log_mus, log_norms):
         if log_mu is None:
-            log_mu = _sample_log_mu(log_norm, p, 2 * M * n)
+            log_mu = _checked_log_mu(_pooled_log_mu(log_norm, p, 2 * M * n))
         log_r = log_norm - (math.log(n) + log_mu) / p
         r1, r2 = log_r[:, 0], log_r[:, 1]
         valid = r1 > -math.inf

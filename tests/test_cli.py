@@ -86,6 +86,15 @@ def test_rates_normal_just_below_p2_exits_zero(capsys):
     assert below["rate_plus"]["value"] == pytest.approx(at_two["rate_plus"]["value"], rel=1e-12)
 
 
+def test_rates_past_delta_1_leave_the_closed_form_columns_empty(capsys):
+    code = run(["rates", "--dist", "uniform01", "--p", "1", "--delta", "1.5"])
+    assert code == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    cells = lines[1].split(",")
+    assert float(cells[1]) > 0.0
+    assert cells[5] == "" and cells[6] == ""
+
+
 def test_rates_config_echoes_a_spec_that_rebuilds_the_law(capsys):
     code = run(["rates", "--dist", "uniform:b=1.2345678", "--p", "1", "--delta", "0.1",
                 "--format", "json"])

@@ -427,6 +427,27 @@ def test_curve_per_column_normalization():
         concentration_curve(data, p_grid=[0.0, 1.0])
 
 
+def test_curve_fractions_match_a_direct_power_sum_reference():
+    # both normalizations against |x|^p summed in plain floating point; the
+    # data keeps every row's ratio at least 1e-9 from a band edge, so the
+    # log-space counter and the direct sums must agree exactly
+    rng = generator(21)
+    values = rng.standard_normal((400, 7)) * np.arange(1.0, 8.0)
+    values[rng.random(values.shape) < 0.1] = 0.0
+    data = Dataset(values, tuple("abcdefg"))
+    delta = 0.2
+    for p in (0.3, 1.0, 2.5):
+        powers = np.abs(values) ** p
+        pooled = (powers.sum(axis=1) / (values.shape[1] * powers.mean())) ** (1 / p)
+        per_column = ((powers / powers.mean(axis=0)).mean(axis=1)) ** (1 / p)
+        for normalization, ratio in (("pooled", pooled), ("per-column", per_column)):
+            edges = np.abs(ratio[:, None] - np.array([1 - delta, 1 + delta]))
+            assert edges.min() > 1e-9
+            expected = np.count_nonzero(np.abs(ratio - 1) <= delta) / len(ratio)
+            curve = concentration_curve(data, (p,), delta, normalization)
+            assert curve.fraction == (expected,), (p, normalization)
+
+
 def test_curve_per_column_flags_dead_columns():
     data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0]]), ("live", "dead"))
     curve = concentration_curve(data, p_grid=[1.0], normalization="per-column")

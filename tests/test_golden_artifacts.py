@@ -1,16 +1,13 @@
 """Every subcommand's artifact, config block included, pinned by sha256.
 
-The digests were recorded from the artifacts written before the config and
-result records were built from the parsed arguments and dataclass fields; a
-change to either record path that moves one byte of any artifact shows up
-here.  The four diagnose and perturb CSV digests were recorded again when
-their fraction cells changed from numpy's ``np.float64(0.65)`` repr to the
-plain ``0.65`` of every other float cell; nothing else in them moved.
-Each case runs in a temporary directory with a relative --input, so the
-echoed input path is part of the digest, and without LPCONC_WORKERS, so
-the echoed worker count is the one given on the command line.  The digests
-hold for the numpy and scipy this suite was recorded with (numpy 2.4,
-scipy 1.17); a library that moves a last bit of a float moves them too.
+Anything on the path from the parsed arguments and the result dataclasses
+to the written bytes that moves one byte of an artifact shows up here;
+record a digest again only for an artifact that is meant to change.  Each
+case runs in a temporary directory with a relative --input, so the echoed
+input path is part of the digest, and without LPCONC_WORKERS, so the
+echoed worker count is the one given on the command line.  The digests
+hold for numpy 2.4 and scipy 1.17; a library that moves a last bit of a
+float moves them too.
 """
 
 import hashlib
@@ -25,7 +22,11 @@ CASES = {
     "rates": "rates --dist uniform01 --p 0.5,2,19 --delta 0.2",
     "curve": "curve --dist uniform01 --p 0.1,1 --n 10,30 --M 200 --seed 3 --workers 2",
     "curve-failed": "curve --dist uniform:b=2 --p 0.5,1500 --n 10 --M 200 --seed 1",
+    "curve-empirical": "curve --dist zeroinflated:a=0.3,base=normal --p 0.1,1 --n 20 "
+    "--M 200 --normalization empirical-mu",
     "contrast": "contrast --dist normal --n 20 --p 0.5,1 --M 200 --seed 1",
+    "contrast-empirical": "contrast --dist uniform01 --n 30 --p 0.01,2 --M 300 --seed 2 "
+    "--normalization empirical-mu",
     "pstar": "pstar --dist twopoint:a=0.5 --n 100 --delta 0.1 --Delta 0.2",
     "pstar-mc": "pstar --dist zeroinflated:a=0.3,base=uniform01 --n 20 --delta 0.1 "
     "--Delta 0.2 --method monte-carlo --M 200",
@@ -49,6 +50,10 @@ DIGESTS = {
     ("curve", "csv"): "cc084d9cba54077008f3449f8b8e4e3a459a6738284bded6fb14a4d2d12c2780",
     ("curve-failed", "json"): "01c19a98b0659537d708cdeae3a4aa727d03a73c6ae189bf2b4ee664f6d3f3ee",
     ("curve-failed", "csv"): "cf8e9a26e894adff088acbfb068207cf823174c2dcebe86b3cdc11e411feda47",
+    ("curve-empirical", "json"): "c02452317c9208415c7c0ba1d90f74dd8598d948868dafd30c11b5012f6a74c8",
+    ("curve-empirical", "csv"): "1e7d9f355149b67e3b1673a3eef651c3983b0593a472be30ac89efdd29a2b443",
+    ("contrast-empirical", "json"): "4443208270018998f4c60c64386fb3f0bf5c42a555554878571b67ea85399e2e",
+    ("contrast-empirical", "csv"): "62269454ff7b8a5b6fbc7bf0aa64adb03504e59344cb16a32520892f4cd66d97",
     ("contrast", "json"): "2e178551ac91b5bb8a118e8c9d539bb48b7ef2c3544cba765c2dca2fe336d4c0",
     ("contrast", "csv"): "829239b8f131bc8737441d1191605ff0fb3c6d42e1daed2ad333072269a0598f",
     ("pstar", "json"): "72452da5a9d62c8b7a19a1dbea03fe1ea788660150d28ad8c7c93c0c223e363c",

@@ -339,6 +339,25 @@ def test_small_p_generic_route_is_within_5e_11_of_the_closed_forms(dist, closed)
             assert generic == pytest.approx(closed(delta, sign), rel=5e-11), (delta, sign)
 
 
+@pytest.mark.parametrize("dist", [UniformUnit(), UniformSymmetric(2.0), DiffUniform()],
+                         ids=["uniform01", "uniform-b2", "diffuniform"])
+def test_small_p_rate_past_delta_1_takes_the_generic_route(dist):
+    # the closed forms hold for delta in (0, 1) only; past it the lookup
+    # gives way to the generic maximization instead of raising
+    for delta in (1.0, 1.5, 3.0):
+        generic = small_p_rate(dist, delta, +1, use_closed_forms=False)
+        assert small_p_rate(dist, delta, +1) == generic
+        assert generic > 0.0
+    # uniform |x|: sup_y y*d + log(1+y) with d = log(1+delta) - 1, which is
+    # uniform_f's expression while d < 0 and infinite once d > 0
+    if dist.closed_family == "uniform-cube":
+        for delta in (1.0, 1.5):
+            big_l = math.log1p(delta)
+            expected = -(big_l + math.log1p(-big_l))
+            assert small_p_rate(dist, delta, +1) == pytest.approx(expected, rel=5e-11)
+        assert small_p_rate(dist, 3.0, +1) == math.inf
+
+
 _SMALL_P_SAMPLE = generator(11).standard_normal(300)
 
 
