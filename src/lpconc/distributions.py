@@ -648,9 +648,12 @@ class ZeroInflated(Distribution):
         return self.a + (1.0 - self.a) * self.base.cdf_abs_left(x)
 
     def draw(self, rng, size):
-        zero = rng.random(size) < self.a
+        keep = rng.random(size) >= self.a
         vals = self.base.draw(rng, size)
-        np.copyto(vals, 0.0, where=zero)
+        # arithmetic, not a masked copy, which branches on every entry;
+        # adding 0.0 turns the -0.0 of a negative draw times 0 into +0.0
+        vals *= keep
+        vals += 0.0
         return vals
 
     def spec_string(self) -> str:

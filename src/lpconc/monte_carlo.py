@@ -5,17 +5,24 @@ independent counter-based stream keyed by (seed, i).  Each chunk returns the
 log l_p norms of its rows, and the chunks are concatenated in chunk-index
 order before anything is counted or pooled, so results do not depend on
 worker count or scheduling: identical inputs and seed give bit-identical
-output.  Every entry is drawn once and its log|entry| taken once, however
-many p it is reduced at: contrast_sweep reduces each chunk at every p of its
-list, and band_frequency_at holds log|entry| of up to _HELD_ENTRIES entries
-(256 MiB) for a p bisection, drawing chunks past that again at each p.  The
-empirical mean of |entry|^p is pooled from the row norms.
+output.  One thread pool serves a whole sweep: curve_sweep hands it every
+chunk of every (p, n) cell at once, largest first, and band_frequency_at
+keeps one pool across a p bisection and reduces its held sample in row-block
+tasks, so one held chunk still fills every thread.  Every entry is drawn
+once and its log|entry| taken once, however many p it is reduced at:
+contrast_sweep reduces each chunk at every p of its list, and
+band_frequency_at holds log|entry| of up to _HELD_ENTRIES entries (256 MiB)
+for a p bisection, drawing chunks past that again at each p.  Zero entries
+are kept off numpy's slow log and exp path by a finite stand-in and a 0/1
+mask, with the same bits as log 0 = -inf.  The empirical mean of |entry|^p
+is pooled from the row norms.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -51,6 +58,11 @@ CHUNK_TARGET_ENTRIES = 1 << 22
 _BLOCK_ENTRIES = 1 << 17
 # band_frequency_at holds log|entry| of at most this many entries (256 MiB)
 _HELD_ENTRIES = 1 << 25
+# inside the kernel a zero entry's log is a finite stand-in no larger than the
+# log of any positive float: log of the smallest subnormal for entries the
+# kernel logs itself, _LOG_ZERO for taken logs (below log(_TINY) = -744.44)
+_TINY = 5e-324
+_LOG_ZERO = -745.0
 
 _WILSON_Z = 1.959963984540054
 
@@ -60,27 +72,69 @@ DEFAULT_N_GRID = (10, 30, 100, 300, 1000, 3000)
 NORMALIZATIONS = ("analytic-mu", "empirical-mu")
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+def _row_logsumexp(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(a))) over the last axis, overwriting a.
 
     Each row is shifted by its maximum (0 for a row of -inf), so exp never
-    overflows and the largest term is exactly 1.  Callers pass a temporary
-    they own.
+    overflows and the largest term is exactly 1.  Where keep is 0, a holds
+    a zero entry's finite stand-in for -inf: it is set to 0 before exp and
+    its 1 multiplied away after, so it adds exactly +0.0, as exp(-inf)
+    would, without numpy's slow path.  Callers pass a temporary they own.
     """
     shift = a.max(axis=-1, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
     a -= shift
+    if keep is not None:
+        a *= keep
     np.exp(a, out=a)
+    if keep is not None:
+        a *= keep
     with np.errstate(divide="ignore"):
         return np.log(a.sum(axis=-1)) + shift[..., 0]
 
 
-def _log_abs(values: np.ndarray) -> np.ndarray:
-    """log|values| in a new array; zeros give -inf."""
-    a = np.abs(values)
-    with np.errstate(divide="ignore"):
+def _log_abs_finite(a: np.ndarray) -> np.ndarray | None:
+    """Overwrite a, which holds |entries|, with log|entries|, zeros with
+    log(_TINY); return the 0/1 float mask of nonzero entries, or None when
+    no entry is zero.
+
+    numpy's log and exp leave their vector loop for 0 and -inf (about 5x
+    slower with 30% zeros), but not for the smallest subnormal.
+    """
+    zero = a == 0.0
+    if not zero.any():
         np.log(a, out=a)
+        return None
+    np.maximum(a, _TINY, out=a)
+    np.log(a, out=a)
+    return np.logical_not(zero, out=zero).astype(float)
+
+
+def _log_abs(values: np.ndarray) -> np.ndarray:
+    """log|values| in a new array; zeros give -inf.
+
+    Taken in place a _BLOCK_ENTRIES slice at a time, so no temporary
+    outgrows a slice.
+    """
+    a = np.abs(values)
+    flat = a.ravel(order="K")  # a view: np.abs writes in the input's memory order
+    for start in range(0, flat.size, _BLOCK_ENTRIES):
+        part = flat[start : start + _BLOCK_ENTRIES]
+        keep = _log_abs_finite(part)
+        if keep is not None:
+            with np.errstate(divide="ignore"):
+                part /= keep  # stand-in / 0 = -inf
     return a
+
+
+def _finite_logs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Taken logs with -inf for zeros as (logs, keep) for _row_logsumexp:
+    block itself and None when it holds no -inf, else a copy with
+    _LOG_ZERO in place of -inf and the 0/1 mask of the other entries."""
+    zero = block == -np.inf
+    if not zero.any():
+        return block, None
+    return np.maximum(block, _LOG_ZERO), np.logical_not(zero, out=zero).astype(float)
 
 
 def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = False) -> np.ndarray:
@@ -88,7 +142,10 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = Fa
 
     Rows are taken a block of about _BLOCK_ENTRIES at a time; abs and log
     run once per block for every p, and the last p scales that block in
-    place.  With logs_taken, values already hold log|entry| and are only read.
+    place.  With logs_taken, values already hold log|entry| (-inf for
+    zeros) and are only read.  Zeros stay off numpy's slow log/exp path
+    (see _log_abs_finite and _row_logsumexp) unless p is so large that
+    their stand-in's distance to a row maximum could overflow.
     """
     if not all(p > 0 for p in ps):
         raise ValueError("p must be positive")
@@ -97,13 +154,25 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = Fa
     rows = values.reshape(-1, n)
     out = np.empty((len(ps), rows.shape[0]))
     step = max(1, _BLOCK_ENTRIES // n)
-    last = -1 if logs_taken else len(ps) - 1
     for start in range(0, rows.shape[0], step):
         block = rows[start : start + step]
-        logs = block if logs_taken else _log_abs(block)
+        if logs_taken:
+            logs, keep = _finite_logs(block)
+        else:
+            logs = np.abs(block)
+            keep = _log_abs_finite(logs)
+        last = len(ps) - 1 if logs is not block else -1
         for k, p in enumerate(ps):
-            scaled = np.multiply(logs, p, out=logs if k == last else None)
-            out[k, start : start + step] = _row_logsumexp(scaled)
+            if keep is None or math.isfinite(2.0 * _LOG_ZERO * p):
+                scaled = np.multiply(logs, p, out=logs if k == last else None)
+                out[k, start : start + step] = _row_logsumexp(scaled, keep)
+            else:
+                # past p of about 1e305 the stand-in's scaled gap to a row
+                # maximum can overflow, and -inf * 0 is NaN: take -inf back
+                with np.errstate(divide="ignore"):
+                    scaled = logs / keep  # stand-in / 0 = -inf
+                scaled *= p
+                out[k, start : start + step] = _row_logsumexp(scaled)
     return (out / np.array(ps, dtype=float)[:, None]).reshape(len(ps), *values.shape[:-1])
 
 
@@ -158,15 +227,40 @@ def _chunk_plan(rows_total: int, row_entries: int) -> list[tuple[int, int, int]]
     return plan
 
 
-def _map_chunks(fn: Callable, plan: Sequence[tuple[int, int, int]], workers: int | None):
-    """Run fn over chunks, returning results in chunk-index order."""
+def _threads(workers: int | None, tasks: int) -> int:
+    """Pool size for a map of that many tasks: workers, by default one per
+    CPU, never more than the tasks and never less than 1."""
     if workers is None:
-        workers = min(len(plan), os.cpu_count() or 1)
-    workers = max(1, min(workers, len(plan)))
-    if workers == 1:
-        return [fn(c) for c in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, plan))
+        workers = min(tasks, os.cpu_count() or 1)
+    return max(1, min(workers, tasks))
+
+
+def _map_tasks(
+    fn: Callable,
+    tasks: Sequence,
+    workers: int | None,
+    size: Callable | None = None,
+    pool: ThreadPoolExecutor | None = None,
+) -> list:
+    """Run fn over tasks on a thread pool, returning results in task order.
+
+    The pool is the one given, kept by a caller that maps many times (a
+    thread start costs about as much as a short map), else one opened for
+    this call with _threads(workers, len(tasks)) threads, or none for one
+    thread.  With size, the largest tasks start first, so that a run ends
+    on a short task rather than leaving one thread a long one.
+    """
+    if pool is None:
+        threads = _threads(workers, len(tasks))
+        if threads == 1:
+            return [fn(t) for t in tasks]
+        with ThreadPoolExecutor(max_workers=threads) as own:
+            return _map_tasks(fn, tasks, workers, size, own)
+    order = range(len(tasks))
+    if size is not None:
+        order = sorted(order, key=lambda k: -size(tasks[k]))
+    done = dict(zip(order, pool.map(fn, [tasks[k] for k in order])))
+    return [done[k] for k in range(len(tasks))]
 
 
 def _sample_log_norms(
@@ -179,7 +273,7 @@ def _sample_log_norms(
         index, _, rows = chunk
         return _log_norms_at(dist.draw(generator(seed, index), (rows, *shape)), ps)
 
-    return np.concatenate(_map_chunks(one, _chunk_plan(M, math.prod(shape)), workers), axis=1)
+    return np.concatenate(_map_tasks(one, _chunk_plan(M, math.prod(shape)), workers), axis=1)
 
 
 def _checked_log_mu(log_mu: float) -> float:
@@ -228,6 +322,58 @@ def _band_count(log_norms: np.ndarray, n: int, p: float, log_mu: float, delta: f
     return int(np.count_nonzero((log_ratio >= lo) & (log_ratio <= hi)))
 
 
+def _band_frequencies(
+    dist: Distribution,
+    cells: Sequence[tuple[int, float, int]],
+    delta: float,
+    M: int,
+    normalization: str,
+    workers: int | None,
+) -> list:
+    """concentration_frequency at each (n, p, seed) cell, or the ValueError
+    or OverflowError the cell raised.
+
+    Every cell is checked before anything is drawn.  Then one pool runs
+    every chunk of every cell, largest first, and each cell's row norms are
+    concatenated in chunk order before they are pooled and counted.
+    """
+    results: list = [None] * len(cells)
+    log_mus: dict[int, float | None] = {}
+    tasks = []
+    for c, (n, p, _) in enumerate(cells):
+        try:
+            _check_band(n, delta, M)
+            log_mus[c] = _law_log_mu(dist, p, normalization)
+            if not p > 0:
+                raise ValueError("p must be positive")
+        except (ValueError, OverflowError) as exc:
+            results[c] = exc
+        else:
+            tasks += [(c, chunk) for chunk in _chunk_plan(M, n)]
+
+    def one(task: tuple[int, tuple[int, int, int]]) -> np.ndarray:
+        c, (index, _, rows) = task
+        n, p, seed = cells[c]
+        return _log_norms_at(dist.draw(generator(seed, index), (rows, n)), (p,))[0]
+
+    parts: dict[int, list[np.ndarray]] = {c: [] for c in log_mus}
+    done = _map_tasks(one, tasks, workers, size=lambda t: t[1][2] * cells[t[0]][0])
+    for (c, _), part in zip(tasks, done):
+        parts[c].append(part)
+    for c, log_mu in log_mus.items():
+        n, p, _ = cells[c]
+        log_norms = np.concatenate(parts[c])
+        if log_mu is None:
+            try:
+                log_mu = _checked_log_mu(_pooled_log_mu(log_norms, p, M * n))
+            except ValueError as exc:
+                results[c] = exc
+                continue
+        inside = _band_count(log_norms, n, p, log_mu, delta)
+        results[c] = (inside / M, wilson_halfwidth(inside, M))
+    return results
+
+
 def concentration_frequency(
     dist: Distribution,
     n: int,
@@ -244,13 +390,10 @@ def concentration_frequency(
     fully in log space (max factored out), so any p and entry scale that fit
     in floats are handled.  delta >= 1 leaves only the upper constraint.
     """
-    _check_band(n, delta, M)
-    log_mu = _law_log_mu(dist, p, normalization)
-    log_norms = _sample_log_norms(dist, (n,), (p,), M, seed, workers)[0]
-    if log_mu is None:
-        log_mu = _checked_log_mu(_pooled_log_mu(log_norms, p, M * n))
-    inside = _band_count(log_norms, n, p, log_mu, delta)
-    return inside / M, wilson_halfwidth(inside, M)
+    (result,) = _band_frequencies(dist, [(n, p, seed)], delta, M, normalization, workers)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def band_frequency_at(
@@ -260,7 +403,10 @@ def band_frequency_at(
     bit for bit, from one sample drawn here.
 
     log|entry| is held for the chunks that fit in _HELD_ENTRIES; each call
-    only scales and reduces them at its p, and draws the later chunks again.
+    only scales and reduces them at its p, in tasks of about _BLOCK_ENTRIES
+    held entries so that a single held chunk still fills the pool, and
+    draws the later chunks again.  Every call runs on one thread pool,
+    which is shut down when the returned function is dropped.
     """
     _check_band(n, delta, M)
     plan = _chunk_plan(M, n)
@@ -269,18 +415,26 @@ def band_frequency_at(
         index, _, rows = chunk
         return _log_abs(dist.draw(generator(seed, index), (rows, n)))
 
-    held = _map_chunks(logs, [c for c in plan if (c[1] + c[2]) * n <= _HELD_ENTRIES], workers)
+    held = _map_tasks(logs, [c for c in plan if (c[1] + c[2]) * n <= _HELD_ENTRIES], workers)
+    step = max(1, _BLOCK_ENTRIES // n)
+    tasks = [(c, start, start + step) for c in plan[: len(held)] for start in range(0, c[2], step)]
+    tasks += [(c, 0, c[2]) for c in plan[len(held) :]]
+    threads = _threads(workers, len(tasks))
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def frequency(p: float) -> float:
         log_mu = _law_log_mu(dist, p, "analytic-mu")
 
-        def one(chunk: tuple[int, int, int]) -> np.ndarray:
-            chunk_logs = held[chunk[0]] if chunk[0] < len(held) else logs(chunk)
-            return _log_norms_at(chunk_logs, (p,), logs_taken=True)[0]
+        def one(task: tuple[tuple[int, int, int], int, int]) -> np.ndarray:
+            chunk, start, stop = task
+            block = held[chunk[0]][start:stop] if chunk[0] < len(held) else logs(chunk)
+            return _log_norms_at(block, (p,), logs_taken=True)[0]
 
-        log_norms = np.concatenate(_map_chunks(one, plan, workers))
+        log_norms = np.concatenate(_map_tasks(one, tasks, threads, pool=pool))
         return _band_count(log_norms, n, p, log_mu, delta) / M
 
+    if pool is not None:
+        weakref.finalize(frequency, pool.shutdown, wait=False)
     return frequency
 
 
@@ -315,29 +469,27 @@ def curve_sweep(
     workers: int | None = None,
 ) -> ConcentrationGrid:
     """concentration_frequency over the full grid; cell (i, j) uses its own
-    stream derived from (seed, i, j), so the grid shape never shifts draws."""
+    stream derived from (seed, i, j), so the grid shape never shifts draws.
+    One pool runs the chunks of every cell."""
     ps = tuple(float(p) for p in (DEFAULT_P_GRID if p_grid is None else p_grid))
     ns = tuple(int(n) for n in (DEFAULT_N_GRID if n_grid is None else n_grid))
     if not ps or not ns:
         raise ValueError("grids must be nonempty")
+    cells = [(n, p, derive_seed(seed, i, j)) for i, p in enumerate(ps) for j, n in enumerate(ns)]
+    results = iter(_band_frequencies(dist, cells, delta, M, normalization, workers))
     freq: list[tuple[float, ...]] = []
     ci: list[tuple[float, ...]] = []
     failed: list[tuple[int, int, str]] = []
-    for i, p in enumerate(ps):
-        row_f: list[float] = []
-        row_c: list[float] = []
-        for j, n in enumerate(ns):
-            try:
-                f, c = concentration_frequency(
-                    dist, n, p, delta, M, derive_seed(seed, i, j), normalization, workers
-                )
-            except (ValueError, OverflowError) as exc:
-                failed.append((i, j, str(exc)))
-                f, c = math.nan, math.nan
-            row_f.append(f)
-            row_c.append(c)
-        freq.append(tuple(row_f))
-        ci.append(tuple(row_c))
+    for i in range(len(ps)):
+        row: list[tuple[float, float]] = []
+        for j in range(len(ns)):
+            result = next(results)
+            if isinstance(result, Exception):
+                failed.append((i, j, str(result)))
+                result = (math.nan, math.nan)
+            row.append(result)
+        freq.append(tuple(f for f, _ in row))
+        ci.append(tuple(c for _, c in row))
     return ConcentrationGrid(
         p_grid=ps,
         n_grid=ns,

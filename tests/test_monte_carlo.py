@@ -6,6 +6,8 @@ sampler can be tested against them to statistical tolerance.
 """
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from lpconc.monte_carlo import (
     relative_contrast,
     wilson_halfwidth,
 )
+from lpconc.seeding import derive_seed
 
 
 # --- norm kernels -----------------------------------------------------------
@@ -205,6 +208,70 @@ def _two_point_band_probability(n: int, a: float, p: float, delta: float) -> flo
     return float(binom.cdf(math.floor(hi), n, q) - binom.cdf(math.ceil(lo) - 1, n, q))
 
 
+def _plain_log_norms(logs, p):
+    """The kernel's arithmetic with nothing kept off numpy's slow path:
+    scale log|x| (-inf for zeros), shift by the row max (0 where it is not
+    finite), exp, sum, log, add the shift back, divide by p."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = logs * p
+        shift = a.max(axis=-1, keepdims=True)
+        shift[~np.isfinite(shift)] = 0.0
+        return (np.log(np.exp(a - shift).sum(axis=-1)) + shift[..., 0]) / p
+
+
+def _awkward_sample():
+    """Rows with 30% zeros, all-zero rows, NaN and inf entries, a row of
+    smallest subnormals and one mixing them with zeros."""
+    x = _wide_range_sample(np.random.default_rng(7), (37, 300))
+    x[np.random.default_rng(8).random(x.shape) < 0.3] = 0.0
+    x[1, 3] = np.nan
+    x[2, 4] = np.inf
+    x[3, 5], x[3, 6] = -np.inf, np.nan
+    x[4] = 5e-324
+    x[6, 1::2] = 5e-324
+    x[7] = 1.0
+    return x
+
+
+@pytest.mark.parametrize("block_entries", [1000, 1 << 17])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("p", [1e-6, 0.01, 1.0, 300.0, 1e9, 1e306])
+def test_log_norms_pinned_to_plain_numpy_with_zeros_nan_and_inf(monkeypatch, block_entries, order, p):
+    # zeros skip numpy's slow log/exp path inside the kernel; the bits must
+    # still be those of log, exp and sum on -inf, at every p, with the last
+    # p scaling the kernel's own block in place
+    monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", block_entries)
+    x = np.asarray(_awkward_sample(), order=order)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(x))
+    expected = _plain_log_norms(logs, p)
+    assert np.all(expected[::5] == -np.inf) and np.isnan(expected[1]) and expected[2] == np.inf
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(log_lp_norms(x, p), expected)
+        np.testing.assert_array_equal(monte_carlo._log_norms_at(x, (2.0, p))[1], expected)
+        held = logs.copy()
+        np.testing.assert_array_equal(
+            monte_carlo._log_norms_at(logs, (p, 2.0), logs_taken=True)[0], expected
+        )
+    np.testing.assert_array_equal(logs, held)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [lambda x: x, np.asfortranarray, lambda x: np.asfortranarray(x.reshape(37, 3, 100)).transpose(1, 0, 2),
+     lambda x: x[::-2, ::3]],
+)
+def test_log_abs_matches_plain_log_in_every_memory_order(monkeypatch, layout):
+    # the fix-up for zeros runs in place on flat slices of |values|; a
+    # reshape that copied would lose it
+    monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", 1000)
+    x = layout(_awkward_sample())
+    with np.errstate(divide="ignore"):
+        expected = np.log(np.abs(x))
+    got = monte_carlo._log_abs(x)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 def test_concentration_frequency_matches_exact_binomial():
     n, a, p, delta, M = 100, 0.5, 0.5, 0.2, 20_000
     exact = _two_point_band_probability(n, a, p, delta)
@@ -300,6 +367,35 @@ def test_curve_sweep_shape_failed_cells_and_determinism():
         seed=3,
     )
     assert again.freq == grid.freq and again.ci_halfwidth == grid.ci_halfwidth
+
+
+@pytest.mark.parametrize("normalization", monte_carlo.NORMALIZATIONS)
+def test_curve_sweep_cells_equal_concentration_frequency_bit_for_bit(monkeypatch, normalization):
+    # one pool runs every cell's chunks, largest first; each cell must still
+    # be concentration_frequency on its own stream, and failed cells (the
+    # n = 0 column, and under analytic-mu the overflowing p = 5000 row) keep
+    # their grid order and messages
+    monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 2000)  # 2 and 5 unequal chunks
+    dist = UniformSymmetric(b=2.0)
+    ps, ns, M, delta = (1.0, 5000.0, 0.5), (16, 0, 64), 150, 0.1
+    grid = curve_sweep(dist, ps, ns, delta, M, seed=4, normalization=normalization, workers=2)
+    expected_failed = []
+    for i, p in enumerate(ps):
+        for j, n in enumerate(ns):
+            try:
+                f, c = concentration_frequency(
+                    dist, n, p, delta, M, derive_seed(4, i, j), normalization
+                )
+            except (ValueError, OverflowError) as exc:
+                expected_failed.append((i, j, str(exc)))
+                assert math.isnan(grid.freq[i][j]) and math.isnan(grid.ci_halfwidth[i][j])
+            else:
+                assert (grid.freq[i][j], grid.ci_halfwidth[i][j]) == (f, c)
+    assert grid.failed == tuple(expected_failed)
+    failed_cells = [(0, 1), (1, 1), (2, 1)]
+    if normalization == "analytic-mu":
+        failed_cells = [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
+    assert [(i, j) for i, j, _ in grid.failed] == failed_cells
 
 
 def test_curve_sweep_cell_streams_do_not_shift_with_grid_growth():
@@ -434,6 +530,22 @@ def test_find_p_star_monte_carlo_draws_its_sample_once(monkeypatch):
     assert sum(drawn) == 2000 + 14 * 4 * 2000
 
 
+def test_band_frequency_pool_ends_with_the_function(monkeypatch):
+    # band_frequency_at keeps one pool across its calls; dropping the
+    # function shuts it down, so find_p_star leaves no thread behind
+    monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", 1000)  # 10 row-block tasks
+    before = threading.active_count()
+    frequency = band_frequency_at(ZeroInflated(a=0.3, base=UniformUnit()), 50, 0.1, 200, 0, 2)
+    frequency(1.0)
+    assert threading.active_count() > before
+    del frequency
+    find_p_star(ZeroInflated(a=0.3, base=UniformUnit()), workers=2, **PSTAR_ARGS)
+    deadline = time.monotonic() + 10.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == before
+
+
 def test_find_p_star_monte_carlo_validation():
     dist, drawn = _zero_inflated_uniform()
     with pytest.raises(ValueError):
@@ -451,13 +563,14 @@ _sizes = st.tuples(
     st.integers(1, 40),  # n
     st.integers(3, 6),  # chunks the plan is forced into, about
     st.integers(0, 3),  # chunks band_frequency_at holds
+    st.integers(1, 60),  # rows per held row-block task (and kernel block)
 )
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(_sizes)
 def test_outputs_do_not_depend_on_workers_or_chunking(sizes):
-    M, n, chunks, held = sizes
+    M, n, chunks, held, block_rows = sizes
     rows = -(-M // chunks)
     dist = ZeroInflated(a=0.3, base=UniformUnit())
     results = []
@@ -465,10 +578,13 @@ def test_outputs_do_not_depend_on_workers_or_chunking(sizes):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", rows * n)
             mp.setattr(monte_carlo, "_HELD_ENTRIES", held * rows * n if workers > 1 else 1 << 25)
+            mp.setattr(monte_carlo, "_BLOCK_ENTRIES", block_rows * n if workers > 1 else 1 << 17)
+            frequency = band_frequency_at(dist, n, 0.1, M, 5, workers)
             results.append((
-                curve_sweep(dist, (0.1, 1.0), (n,), M=M, seed=5, workers=workers),
+                curve_sweep(dist, (0.1, 1.0), (n, 2 * n), M=M, seed=5, workers=workers),
                 contrast_sweep(UniformUnit(), n, (0.1, 1.0), M, 5, 0.2, "empirical-mu", workers),
                 find_p_star(dist, n, 0.1, 0.2, method="monte-carlo", M=M, iterations=6,
                             workers=workers),
+                tuple(frequency(p) for p in (0.05, 1.0, 4.0)),
             ))
     assert results[0] == results[1] == results[2]
