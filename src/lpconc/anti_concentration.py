@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
+from ._special import binom_logpmf, ndtr
 from .distributions import Distribution
 from . import monte_carlo
 
@@ -92,23 +94,13 @@ def _interval_k(a: float, p: float, delta: float, n: int) -> tuple[int, int]:
     return max(math.ceil(lo_x), 0), min(math.floor(hi_x), n)
 
 
-def _binom_logpmf(k: np.ndarray, n: int, q: float) -> np.ndarray:
-    # success probability q: P(k) = C(n,k) q^k (1-q)^(n-k), via log-Gamma so
-    # masses near 1e-300 at n = 10^6 stay representable
-    return (
-        gammaln(n + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n - k + 1.0)
-        + k * math.log(q)
-        + (n - k) * math.log1p(-q)
-    )
+def _masses(n: int, q: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """P(K = k) for k_lo <= k <= k_hi, K ~ Binomial(n, q); empty when k_hi < k_lo."""
+    return np.exp(binom_logpmf(np.arange(k_lo, k_hi + 1, dtype=float), n, q))
 
 
 def _mass(n: int, q: float, k_lo: int, k_hi: int) -> float:
-    if k_hi < k_lo:
-        return 0.0
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    return math.fsum(np.exp(_binom_logpmf(k, n, q)))
+    return math.fsum(_masses(n, q, k_lo, k_hi))
 
 
 def exact_two_point_concentration(a: float, r: float, p: float, delta: float, n: int) -> float:
@@ -138,11 +130,15 @@ def binomial_mode_prob(a: float, n: int) -> float:
         raise ValueError("a must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    c = n * (1.0 - a)
-    k = round(c)
-    if abs(c - k) > _MODE_INT_TOL * max(1.0, abs(c)):
-        return 0.0
-    return float(math.exp(_binom_logpmf(np.array([float(k)]), n, 1.0 - a)[0]))
+    return float(_mode_probs(a, np.array([float(n)]))[0])
+
+
+def _mode_probs(a: float, ns: np.ndarray) -> np.ndarray:
+    """binomial_mode_prob(a, n) at each n of ns."""
+    c = ns * (1.0 - a)
+    k = np.round(c)
+    whole = np.abs(c - k) <= _MODE_INT_TOL * np.maximum(1.0, np.abs(c))
+    return np.where(whole, np.exp(binom_logpmf(k, ns, 1.0 - a)), 0.0)
 
 
 def berry_esseen_bounds(
@@ -228,7 +224,9 @@ def find_p_star(
     must use the monte-carlo method (seeded deterministically from the
     inputs), which draws its M vectors once and evaluates every p of the
     bisection on them: it holds log|x| of up to 2^25 entries (256 MiB) and
-    draws chunks past that again at each p (monte_carlo.band_frequency_at).
+    draws chunks past that again at each p (monte_carlo.band_frequency_at),
+    all on one thread pool that is shut down, its threads joined, before
+    this returns.
     When even p = 1e-6 sits above Delta, p_star is reported absent with a
     diagnostic: the dimension is below the threshold where the mode mass
     P(k = n(1-a)) clears the target.
@@ -244,59 +242,67 @@ def find_p_star(
         raise ValueError("n must be a positive integer")
 
     two_point = getattr(dist, "abs_two_point", None)
-    sample_count: int | None = None
-    seed: int | None = None
     if method == "exact-binomial":
         if two_point is None:
             raise ValueError(
                 "exact-binomial needs |x| supported on {0, r}; use method='monte-carlo'"
             )
 
+        # the band widens with p, so the masses of the widest one, at p = 2,
+        # serve every p of the bisection
+        a = two_point[0]
+        _validate_two_point(a, two_point[1], 2.0, delta, n)
+        k_lo, k_hi = _interval_k(a, 2.0, delta, n)
+        masses = _masses(n, 1.0 - a, k_lo, k_hi)
+
         def prob(p: float) -> float:
-            return exact_two_point_concentration(two_point[0], two_point[1], p, delta, n)
+            lo, hi = _interval_k(a, p, delta, n)
+            return math.fsum(masses[lo - k_lo : hi - k_lo + 1]) if lo <= hi else 0.0
 
-    elif method == "monte-carlo":
-        sample_count = M
+        return _bisect_p_star(prob, atom, n, delta, Delta, method, iterations)
+    if method == "monte-carlo":
         seed = _input_seed("p-star", dist.spec_string(), n, delta, Delta, M)
-        prob = monte_carlo.band_frequency_at(dist, n, delta, M, seed, workers)
+        with ThreadPoolExecutor(max_workers=monte_carlo._threads(workers, M)) as pool:
+            prob = monte_carlo.band_frequency_at(dist, n, delta, M, seed, workers, pool=pool)
+            return _bisect_p_star(prob, atom, n, delta, Delta, method, iterations, M, seed)
+    raise ValueError("method must be 'exact-binomial' or 'monte-carlo'")
 
-    else:
-        raise ValueError("method must be 'exact-binomial' or 'monte-carlo'")
 
+def _bisect_p_star(
+    prob: Callable[[float], float], atom: float, n: int, delta: float, Delta: float,
+    method: str, iterations: int, sample_count: int | None = None, seed: int | None = None,
+) -> AntiConcReport:
+    """find_p_star's bisection of prob over p in (1e-6, 2]."""
     mode_prob = binomial_mode_prob(atom, n)
+
+    def report(p_star: float | None, prob_at: float, diagnostic: str | None = None):
+        return AntiConcReport(
+            n=n,
+            delta=delta,
+            target_Delta=Delta,
+            p_star=p_star,
+            exact_prob_at_p_star=prob_at,
+            binomial_mode_prob=mode_prob,
+            method=method,
+            sample_count=sample_count,
+            seed=seed,
+            diagnostic=diagnostic,
+        )
+
     lo, hi = 1e-6, 2.0
     prob_lo = prob(lo)
     if prob_lo > Delta:
         hint = min_dimension(atom, Delta)
-        return AntiConcReport(
-            n=n,
-            delta=delta,
-            target_Delta=Delta,
-            p_star=None,
-            exact_prob_at_p_star=prob_lo,
-            binomial_mode_prob=mode_prob,
-            method=method,
-            sample_count=sample_count,
-            seed=seed,
-            diagnostic=(
-                f"probability {prob_lo:.6g} at p = {lo:g} already exceeds the target "
-                f"{Delta:g}; the mode mass floor is {mode_prob:.6g}. "
-                f"Dimensions of at least {hint} keep that floor under Delta/2."
-            ),
+        return report(
+            None,
+            prob_lo,
+            f"probability {prob_lo:.6g} at p = {lo:g} already exceeds the target "
+            f"{Delta:g}; the mode mass floor is {mode_prob:.6g}. "
+            f"Dimensions of at least {hint} keep that floor under Delta/2.",
         )
     prob_hi = prob(hi)
     if prob_hi <= Delta:
-        return AntiConcReport(
-            n=n,
-            delta=delta,
-            target_Delta=Delta,
-            p_star=hi,
-            exact_prob_at_p_star=prob_hi,
-            binomial_mode_prob=mode_prob,
-            method=method,
-            sample_count=sample_count,
-            seed=seed,
-        )
+        return report(hi, prob_hi)
     best_p, best_prob = lo, prob_lo
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
@@ -305,17 +311,7 @@ def find_p_star(
             lo, best_p, best_prob = mid, mid, prob_mid
         else:
             hi = mid
-    return AntiConcReport(
-        n=n,
-        delta=delta,
-        target_Delta=Delta,
-        p_star=best_p,
-        exact_prob_at_p_star=best_prob,
-        binomial_mode_prob=mode_prob,
-        method=method,
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return report(best_p, best_prob)
 
 
 def min_dimension(
@@ -340,13 +336,14 @@ def min_dimension(
     frac = Fraction(q).limit_denominator(MAX_EXACT_N)
     if abs(float(frac) - q) > _MODE_INT_TOL:
         return 1
-    period = frac.denominator
-    last_violator = 0
-    n = period
-    while n <= MAX_EXACT_N:
-        if binomial_mode_prob(a, n) >= 0.5 * Delta:
-            last_violator = n
-            n += period
-        else:
-            break
-    return last_violator + 1
+    # the mode masses of n = period, 2 period, ... in batches that double,
+    # up to the first under Delta/2
+    ns = np.arange(frac.denominator, MAX_EXACT_N + 1, frac.denominator, dtype=float)
+    start, size = 0, 64
+    while start < ns.size:
+        under = np.flatnonzero(_mode_probs(a, ns[start : start + size]) < 0.5 * Delta)
+        if under.size:
+            first = start + int(under[0])
+            return int(ns[first - 1]) + 1 if first else 1
+        start, size = start + size, 2 * size
+    return int(ns[-1]) + 1

@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import gammaln
-
+from ._special import gammaln
 from .distributions import as_sign
 
 __all__ = [

@@ -18,8 +18,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
 
+from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .monte_carlo import _band_count, _log_abs, _log_norms_at, _pooled_log_mu
 from .seeding import generator
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp, ndtr, polygamma
 
+from ._special import digamma_trigamma, gammaln, logsumexp
 from .seeding import generator
 
 # switch the MGF integral to the u = x^p coordinate below this p
@@ -481,11 +481,9 @@ class StandardNormal(_ContinuousLaw):
         if q <= -1.0:
             return math.inf, math.nan, math.nan
         h = 0.5 * (q + 1.0)
-        return (
-            0.5 * q * _LOG2 + float(gammaln(h)) - 0.5 * math.log(math.pi),
-            0.5 * (_LOG2 + float(digamma(h))),
-            0.25 * float(polygamma(1, h)),
-        )
+        psi, psi1 = digamma_trigamma(h)
+        k = 0.5 * q * _LOG2 + gammaln(h) - 0.5 * math.log(math.pi)
+        return k, 0.5 * (_LOG2 + psi), 0.25 * psi1
 
     def _abs_logpdf(self, x):
         out = np.full_like(x, -np.inf, dtype=float)
@@ -519,7 +517,7 @@ class StandardNormal(_ContinuousLaw):
     def cdf_abs(self, x: float) -> float:
         if x <= 0:
             return 0.0
-        return float(2.0 * ndtr(x) - 1.0)
+        return math.erf(x / math.sqrt(2.0))
 
     def draw(self, rng, size):
         return rng.standard_normal(size)

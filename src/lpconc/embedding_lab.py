@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
 
+from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .monte_carlo import (
     _band_count,
     _chunk_plan,
     _log_abs,
     _log_norms_at,
+    _median,
     _pooled_log_mu,
     wilson_halfwidth,
 )
@@ -174,6 +175,6 @@ def contrast_table(
             with np.errstate(over="ignore", invalid="ignore"):
                 rc = np.abs(np.expm1(l2[valid] - l1[valid]))
             skipped = int(pairs - valid.sum())
-            value = float(np.median(rc)) if rc.size else math.nan
+            value = _median(rc) if rc.size else math.nan
             cells.append(TableCell(kind.name, float(p), value, None, skipped))
     return EmbeddingTable("median-contrast", None, pairs, seed, tuple(cells))

@@ -7,29 +7,30 @@ order before anything is counted or pooled, so results do not depend on
 worker count or scheduling: identical inputs and seed give bit-identical
 output.  One thread pool serves a whole sweep: curve_sweep hands it every
 chunk of every (p, n) cell at once, largest first, and band_frequency_at
-keeps one pool across a p bisection and reduces its held sample in row-block
-tasks, so one held chunk still fills every thread.  Every entry is drawn
-once and its log|entry| taken once, however many p it is reduced at:
-contrast_sweep reduces each chunk at every p of its list, and
+runs a p bisection on the pool its caller owns, reducing its held sample
+in row-block tasks, so one held chunk still fills every thread.  Every
+entry is drawn once and its log|entry| taken once, however many p it is
+reduced at: contrast_sweep reduces each chunk at every p of its list, and
 band_frequency_at holds log|entry| of up to _HELD_ENTRIES entries (256 MiB)
 for a p bisection, drawing chunks past that again at each p.  Zero entries
-are kept off numpy's slow log and exp path by a finite stand-in and a 0/1
-mask, with the same bits as log 0 = -inf.  The empirical mean of |entry|^p
-is pooled from the row norms.
+are kept off numpy's slow log and exp path by a finite stand-in and a
+mask, with the same bits as log 0 = -inf: a 0/1 float mask where a block
+is reduced at once (it multiplies faster), a boolean one where a bisection
+holds it (an eighth of the memory).  The empirical mean of |entry|^p is
+pooled from the row norms.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._special import logsumexp
 from .distributions import Distribution
 from .seeding import derive_seed, generator
 
@@ -76,10 +77,11 @@ def _row_logsumexp(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(a))) over the last axis, overwriting a.
 
     Each row is shifted by its maximum (0 for a row of -inf), so exp never
-    overflows and the largest term is exactly 1.  Where keep is 0, a holds
-    a zero entry's finite stand-in for -inf: it is set to 0 before exp and
-    its 1 multiplied away after, so it adds exactly +0.0, as exp(-inf)
-    would, without numpy's slow path.  Callers pass a temporary they own.
+    overflows and the largest term is exactly 1.  Where keep, a 0/1 float or
+    boolean mask, is 0, a holds a zero entry's finite stand-in for -inf: it
+    is set to 0 before exp and its 1 multiplied away after, so it adds
+    exactly +0.0, as exp(-inf) would, without numpy's slow path.  Callers
+    pass a temporary they own.
     """
     shift = a.max(axis=-1, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
@@ -95,8 +97,8 @@ def _row_logsumexp(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
 
 def _log_abs_finite(a: np.ndarray) -> np.ndarray | None:
     """Overwrite a, which holds |entries|, with log|entries|, zeros with
-    log(_TINY); return the 0/1 float mask of nonzero entries, or None when
-    no entry is zero.
+    log(_TINY); return the boolean mask of nonzero entries, or None when no
+    entry is zero.
 
     numpy's log and exp leave their vector loop for 0 and -inf (about 5x
     slower with 30% zeros), but not for the smallest subnormal.
@@ -107,7 +109,7 @@ def _log_abs_finite(a: np.ndarray) -> np.ndarray | None:
         return None
     np.maximum(a, _TINY, out=a)
     np.log(a, out=a)
-    return np.logical_not(zero, out=zero).astype(float)
+    return np.logical_not(zero, out=zero)
 
 
 def _log_abs(values: np.ndarray) -> np.ndarray:
@@ -130,11 +132,35 @@ def _log_abs(values: np.ndarray) -> np.ndarray:
 def _finite_logs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Taken logs with -inf for zeros as (logs, keep) for _row_logsumexp:
     block itself and None when it holds no -inf, else a copy with
-    _LOG_ZERO in place of -inf and the 0/1 mask of the other entries."""
+    _LOG_ZERO in place of -inf and the 0/1 float mask of the other entries."""
     zero = block == -np.inf
     if not zero.any():
         return block, None
     return np.maximum(block, _LOG_ZERO), np.logical_not(zero, out=zero).astype(float)
+
+
+def _reduce_logs(
+    logs: np.ndarray, keep: np.ndarray | None, ps: Sequence[float], own: bool
+) -> np.ndarray:
+    """p * log_lp_norms of a block of rows at each p of ps, from its taken
+    logs in finite stand-in form with keep, the mask of nonzero entries
+    (None for none zero).  With own, logs are scaled in place at the last
+    p.  Zeros stay off numpy's slow log/exp path (see _log_abs_finite and
+    _row_logsumexp) unless p is so large that their stand-in's distance to
+    a row maximum could overflow."""
+    out = np.empty((len(ps), logs.shape[0]))
+    for k, p in enumerate(ps):
+        if keep is None or math.isfinite(2.0 * _LOG_ZERO * p):
+            scaled = np.multiply(logs, p, out=logs if own and k == len(ps) - 1 else None)
+            out[k] = _row_logsumexp(scaled, keep)
+        else:
+            # past p of about 1e305 the stand-in's scaled gap to a row
+            # maximum can overflow, and -inf * 0 is NaN: take -inf back
+            with np.errstate(divide="ignore"):
+                scaled = logs / keep  # stand-in / 0 = -inf
+            scaled *= p
+            out[k] = _row_logsumexp(scaled)
+    return out
 
 
 def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = False) -> np.ndarray:
@@ -143,9 +169,7 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = Fa
     Rows are taken a block of about _BLOCK_ENTRIES at a time; abs and log
     run once per block for every p, and the last p scales that block in
     place.  With logs_taken, values already hold log|entry| (-inf for
-    zeros) and are only read.  Zeros stay off numpy's slow log/exp path
-    (see _log_abs_finite and _row_logsumexp) unless p is so large that
-    their stand-in's distance to a row maximum could overflow.
+    zeros) and are only read.
     """
     if not all(p > 0 for p in ps):
         raise ValueError("p must be positive")
@@ -161,18 +185,8 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = Fa
         else:
             logs = np.abs(block)
             keep = _log_abs_finite(logs)
-        last = len(ps) - 1 if logs is not block else -1
-        for k, p in enumerate(ps):
-            if keep is None or math.isfinite(2.0 * _LOG_ZERO * p):
-                scaled = np.multiply(logs, p, out=logs if k == last else None)
-                out[k, start : start + step] = _row_logsumexp(scaled, keep)
-            else:
-                # past p of about 1e305 the stand-in's scaled gap to a row
-                # maximum can overflow, and -inf * 0 is NaN: take -inf back
-                with np.errstate(divide="ignore"):
-                    scaled = logs / keep  # stand-in / 0 = -inf
-                scaled *= p
-                out[k, start : start + step] = _row_logsumexp(scaled)
+            keep = None if keep is None else keep.astype(float)
+        out[:, start : start + step] = _reduce_logs(logs, keep, ps, own=logs is not block)
     return (out / np.array(ps, dtype=float)[:, None]).reshape(len(ps), *values.shape[:-1])
 
 
@@ -202,6 +216,16 @@ def pair_contrast(x1: np.ndarray, x2: np.ndarray, p: float) -> float:
     if l2 == -math.inf:
         return 1.0
     return abs(math.expm1(l2 - l1))
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a nonempty 1-D array, bit for bit, without its NaN check,
+    which imports numpy.ma (about 15 ms) on a process's first call."""
+    h = a.size // 2
+    part = np.partition(a, (h, -1) if a.size % 2 else (h - 1, h, -1))
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(part[h]) if a.size % 2 else float((part[h - 1] + part[h]) / 2.0)
 
 
 def wilson_halfwidth(count: int, total: int, z: float = _WILSON_Z) -> float:
@@ -397,44 +421,49 @@ def concentration_frequency(
 
 
 def band_frequency_at(
-    dist: Distribution, n: int, delta: float, M: int, seed: int, workers: int | None = None
+    dist: Distribution, n: int, delta: float, M: int, seed: int, workers: int | None = None,
+    pool: ThreadPoolExecutor | None = None,
 ) -> Callable[[float], float]:
     """p -> concentration_frequency(dist, n, p, delta, M, seed, workers=workers)[0],
     bit for bit, from one sample drawn here.
 
-    log|entry| is held for the chunks that fit in _HELD_ENTRIES; each call
-    only scales and reduces them at its p, in tasks of about _BLOCK_ENTRIES
-    held entries so that a single held chunk still fills the pool, and
-    draws the later chunks again.  Every call runs on one thread pool,
-    which is shut down when the returned function is dropped.
+    The chunks that fit in _HELD_ENTRIES are held in row blocks of about
+    _BLOCK_ENTRIES entries, each as its logs in finite stand-in form with
+    its boolean mask of nonzero entries (see _log_abs_finite), taken once;
+    each call only scales and reduces the blocks at its p, one task per
+    block so that a single held chunk still fills the pool, and draws the
+    later chunks again.  Every map runs on pool when one is given (its
+    owner shuts it down), else on a pool opened for that map.
     """
     _check_band(n, delta, M)
     plan = _chunk_plan(M, n)
-
-    def logs(chunk: tuple[int, int, int]) -> np.ndarray:
-        index, _, rows = chunk
-        return _log_abs(dist.draw(generator(seed, index), (rows, n)))
-
-    held = _map_tasks(logs, [c for c in plan if (c[1] + c[2]) * n <= _HELD_ENTRIES], workers)
     step = max(1, _BLOCK_ENTRIES // n)
-    tasks = [(c, start, start + step) for c in plan[: len(held)] for start in range(0, c[2], step)]
-    tasks += [(c, 0, c[2]) for c in plan[len(held) :]]
-    threads = _threads(workers, len(tasks))
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+
+    def draw(chunk: tuple[int, int, int]) -> np.ndarray:
+        index, _, rows = chunk
+        return dist.draw(generator(seed, index), (rows, n))
+
+    def hold(chunk: tuple[int, int, int]) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        a = np.abs(draw(chunk))
+        return [(b, _log_abs_finite(b)) for b in np.split(a, range(step, len(a), step))]
+
+    held = [c for c in plan if (c[1] + c[2]) * n <= _HELD_ENTRIES]
+    blocks = [block for part in _map_tasks(hold, held, workers, pool=pool) for block in part]
+    redrawn = plan[len(held) :]
 
     def frequency(p: float) -> float:
         log_mu = _law_log_mu(dist, p, "analytic-mu")
 
-        def one(task: tuple[tuple[int, int, int], int, int]) -> np.ndarray:
-            chunk, start, stop = task
-            block = held[chunk[0]][start:stop] if chunk[0] < len(held) else logs(chunk)
-            return _log_norms_at(block, (p,), logs_taken=True)[0]
+        def one(k: int) -> np.ndarray:
+            if k < len(blocks):
+                logs, keep = blocks[k]
+                return _reduce_logs(logs, keep, (p,), own=False)[0] / p
+            return _log_norms_at(draw(redrawn[k - len(blocks)]), (p,))[0]
 
-        log_norms = np.concatenate(_map_tasks(one, tasks, threads, pool=pool))
+        tasks = range(len(blocks) + len(redrawn))
+        log_norms = np.concatenate(_map_tasks(one, tasks, workers, pool=pool))
         return _band_count(log_norms, n, p, log_mu, delta) / M
 
-    if pool is not None:
-        weakref.finalize(frequency, pool.shutdown, wait=False)
     return frequency
 
 
@@ -570,7 +599,7 @@ def contrast_sweep(
             ContrastSummary(
                 p=p,
                 n=n,
-                median_rc=float(np.median(rc)),
+                median_rc=_median(rc),
                 freq_below_delta=below / valid_pairs,
                 delta=delta,
                 pairs=M,

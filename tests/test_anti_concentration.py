@@ -93,12 +93,21 @@ def test_tails_partition_the_whole_line(n):
     st.integers(1, MAX_EXACT_N),
 )
 def test_tails_sum_to_one(a, p, delta, n):
-    # every binomial mass is exp of a difference of log-Gamma values as large
-    # as log(n!), so each carries a relative rounding error of a few ulps of
-    # log(n!): 1e-12 holds up to n of about 1500, and the bound grows past it
+    # the bound grows like eps * log(n!), the rounding error of masses taken
+    # as exp of log-Gamma differences; test_tails_sum_to_one_at_large_n
+    # holds the library's Loader log-pmf to 1e-13
     below, inside, above = exact_two_point_tails(a, 1.0, p, delta, n)
     tol = 1e-12 + 8 * sys.float_info.epsilon * math.lgamma(n + 1)
     assert math.fsum((below, inside, above)) == pytest.approx(1.0, abs=tol)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.3])
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+def test_tails_sum_to_one_at_large_n(a, n):
+    # each mass's log carries an error near eps, not eps * log(n!), which
+    # is 1.1e-9 at n = 10^6
+    below, inside, above = exact_two_point_tails(a, 1.0, 1.0, 0.5, n)
+    assert abs(math.fsum((below, inside, above)) - 1.0) <= 1e-13
 
 
 def test_tails_match_fraction_oracle_on_each_piece():
@@ -245,3 +254,16 @@ def test_min_dimension_respects_integer_period():
     assert binomial_mode_prob(1.0 / 3.0, d - 1) >= 0.1 or (d - 1) % 3 != 0
     for n in range(d, d + 12):
         assert binomial_mode_prob(1.0 / 3.0, n) < 0.1
+
+
+@pytest.mark.parametrize(
+    "a,Delta", [(0.3, 0.9), (0.5, 0.9), (0.5, 0.2), (0.3, 0.05), (0.25, 0.05), (0.7, 0.02)]
+)
+def test_min_dimension_matches_the_one_n_at_a_time_scan(a, Delta):
+    # the scan runs in batches of 64, 128, ... candidates; its answer must be
+    # the one-at-a-time scan's, wherever the first mass under Delta/2 falls
+    period = Fraction(1 - a).limit_denominator(MAX_EXACT_N).denominator
+    last_violator, n = 0, period
+    while binomial_mode_prob(a, n) >= 0.5 * Delta:
+        last_violator, n = n, n + period
+    assert min_dimension(a, Delta) == last_violator + 1

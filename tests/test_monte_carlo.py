@@ -7,7 +7,6 @@ sampler can be tested against them to statistical tolerance.
 
 import math
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -530,20 +529,40 @@ def test_find_p_star_monte_carlo_draws_its_sample_once(monkeypatch):
     assert sum(drawn) == 2000 + 14 * 4 * 2000
 
 
-def test_band_frequency_pool_ends_with_the_function(monkeypatch):
-    # band_frequency_at keeps one pool across its calls; dropping the
-    # function shuts it down, so find_p_star leaves no thread behind
+def test_median_equals_numpy_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for size in range(1, 60):
+        a = rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3, size)
+        a[rng.random(size) < 0.3] = a[0]  # ties
+        assert monte_carlo._median(a.copy()) == float(np.median(a))
+        a[int(rng.integers(size))] = np.nan
+        assert math.isnan(monte_carlo._median(a.copy()))
+
+
+def test_find_p_star_leaves_no_thread_it_started(monkeypatch):
+    # find_p_star owns the pool its bisection runs on and joins its threads
+    # before it returns; the test compares thread objects, not counts, so
+    # threads another test left behind are neither counted nor waited for
     monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", 1000)  # 10 row-block tasks
-    before = threading.active_count()
-    frequency = band_frequency_at(ZeroInflated(a=0.3, base=UniformUnit()), 50, 0.1, 200, 0, 2)
-    frequency(1.0)
-    assert threading.active_count() > before
-    del frequency
+    before = set(threading.enumerate())
+    seen = set()
+    make = monte_carlo.band_frequency_at
+
+    def watched(*args, **kwargs):
+        frequency = make(*args, **kwargs)
+
+        def call(p):
+            result = frequency(p)
+            seen.update(threading.enumerate())
+            return result
+
+        return call
+
+    monkeypatch.setattr(monte_carlo, "band_frequency_at", watched)
     find_p_star(ZeroInflated(a=0.3, base=UniformUnit()), workers=2, **PSTAR_ARGS)
-    deadline = time.monotonic() + 10.0
-    while threading.active_count() > before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() == before
+    started = seen - before
+    assert started, "the bisection ran on pool threads"
+    assert [t.name for t in started if t.is_alive()] == []
 
 
 def test_find_p_star_monte_carlo_validation():
