@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -353,6 +354,29 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_monte_carlo(parser: argparse.ArgumentParser, m_help: str) -> None:
+    parser.add_argument("--delta", type=float, default=0.1)
+    parser.add_argument("--M", type=int, default=100_000, help=m_help)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--normalization", choices=monte_carlo.NORMALIZATIONS, default="analytic-mu")
+    _add_workers(parser)
+    _add_common(parser, "json")
+
+
+def _add_dataset(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--p", type=_floats, default=diagnostics.DEFAULT_CURVE_P)
+    parser.add_argument("--delta", type=float, default=0.1)
+    parser.add_argument("--normalization", choices=diagnostics.NORMALIZATIONS, default="pooled")
+    parser.add_argument("--standardize", action="store_true", help="standardize columns first")
+    parser.add_argument(
+        "--keep-constant", action="store_true", help="keep constant columns instead of dropping"
+    )
+    parser.add_argument(
+        "--missing-policy", choices=("error", "drop-rows", "mean-impute"), default="error"
+    )
+    _add_common(parser, "json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpconc",
@@ -370,27 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--dist", required=True)
     curve.add_argument("--p", type=_floats, default=monte_carlo.DEFAULT_P_GRID, help="p grid")
     curve.add_argument("--n", type=_ints, default=monte_carlo.DEFAULT_N_GRID, help="dimension grid")
-    curve.add_argument("--delta", type=float, default=0.1)
-    curve.add_argument("--M", type=int, default=100_000, help="samples per cell")
-    curve.add_argument("--seed", type=int, default=0)
-    curve.add_argument(
-        "--normalization", choices=monte_carlo.NORMALIZATIONS, default="analytic-mu"
-    )
-    _add_workers(curve)
-    _add_common(curve, "json")
+    _add_monte_carlo(curve, "samples per cell")
 
     contrast = sub.add_parser("contrast", help="relative contrast of i.i.d. vector pairs")
     contrast.add_argument("--dist", required=True)
     contrast.add_argument("--n", type=int, required=True, help="dimension")
     contrast.add_argument("--p", type=_floats, required=True)
-    contrast.add_argument("--delta", type=float, default=0.1)
-    contrast.add_argument("--M", type=int, default=100_000, help="number of pairs")
-    contrast.add_argument("--seed", type=int, default=0)
-    contrast.add_argument(
-        "--normalization", choices=monte_carlo.NORMALIZATIONS, default="analytic-mu"
-    )
-    _add_workers(contrast)
-    _add_common(contrast, "json")
+    _add_monte_carlo(contrast, "number of pairs")
 
     pstar = sub.add_parser("pstar", help="largest p keeping non-concentration above a target")
     pstar.add_argument("--dist", required=True)
@@ -420,35 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     diagnose = sub.add_parser("diagnose", help="dataset summary and concentration curve")
     diagnose.add_argument("--input", required=True, help="numeric CSV with a header row")
-    diagnose.add_argument("--p", type=_floats, default=diagnostics.DEFAULT_CURVE_P)
-    diagnose.add_argument("--delta", type=float, default=0.1)
-    diagnose.add_argument(
-        "--normalization", choices=diagnostics.NORMALIZATIONS, default="pooled"
-    )
-    diagnose.add_argument("--standardize", action="store_true", help="standardize columns first")
-    diagnose.add_argument(
-        "--keep-constant", action="store_true", help="keep constant columns instead of dropping"
-    )
-    diagnose.add_argument(
-        "--missing-policy", choices=("error", "drop-rows", "mean-impute"), default="error"
-    )
-    _add_common(diagnose, "json")
+    _add_dataset(diagnose)
 
     perturb = sub.add_parser("perturb", help="zero-imputation drift report")
-    perturb.add_argument("--input", required=True)
+    perturb.add_argument("--input", required=True, help="numeric CSV with a header row")
     perturb.add_argument("--gap", type=float, required=True, help="zero-imputation probability")
     perturb.add_argument("--seed", type=int, required=True)
-    perturb.add_argument("--p", type=_floats, default=diagnostics.DEFAULT_CURVE_P)
-    perturb.add_argument("--delta", type=float, default=0.1)
-    perturb.add_argument(
-        "--normalization", choices=diagnostics.NORMALIZATIONS, default="pooled"
-    )
-    perturb.add_argument("--standardize", action="store_true")
-    perturb.add_argument("--keep-constant", action="store_true")
-    perturb.add_argument(
-        "--missing-policy", choices=("error", "drop-rows", "mean-impute"), default="error"
-    )
-    _add_common(perturb, "json")
+    _add_dataset(perturb)
 
     validate = sub.add_parser("validate", help="check working assumptions for a distribution")
     validate.add_argument("--dist", required=True)
@@ -458,9 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing mutates only the namespace."""
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _HANDLERS[args.subcommand]
     try:
         _resolve(args)

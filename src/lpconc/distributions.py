@@ -1,29 +1,25 @@
 """Component laws and their absolute-moment machinery.
 
 Every distribution here models one coordinate x of a product vector; all
-derived quantities (moments, MGFs, CDFs) refer to |x|.  The MGF evaluation
-is the numerical backbone of the rate engine, so it is organized to stay
-accurate for exponents p anywhere between 1e-6 and a few hundred.
+derived quantities (moments, MGFs, CDFs) refer to |x|.  The MGF is the
+numerical backbone of the rate engine, so it stays accurate for exponents p
+anywhere between 1e-6 and a few hundred.
 
 Each law has one private kernel, ``_tilted(t, p, s)``, returning the
-log-MGF K = log E[exp(s*t*|x|^p)] together with the mean and variance of
-W = |x|^p / mu_p under the law tilted by exp(s*t*|x|^p); the rate engine's
+log-MGF K = log E[exp(s*t*|x|^p)] with the mean and variance of W =
+|x|^p / mu_p under the law tilted by exp(s*t*|x|^p); the rate engine's
 Newton iteration runs on these two moments, and ``log_mgf_abs_p`` returns K.
 Each atom-free law also has ``_log_tilted(y, s)``, the same triple for the
-p -> 0 limit: K = log E|x|^{s*y} and the moments of log|x| under the tilt
-|x|^{s*y}, in closed form or (empirical laws) as exact sums.  A law whose
-rates have closed forms names its family in ``closed_family``.
+p -> 0 limit in closed form or as exact sums.  A law whose rates have closed
+forms names its family in ``closed_family``.  No kernel probes its integrand:
 
 * discrete laws (two-point, empirical) take exact sums over their atoms,
-* the normal at p = 2 uses the chi-square closed form,
-* zero-inflated laws mix their base law's kernel with the atom at zero,
-* continuous laws integrate in the u = x^p coordinate for p < 1, where the
-  x-domain integrand degenerates into a boundary spike, and in x otherwise.
-  A probe grid, refined geometrically toward both ends of the support,
-  finds the peak of the log-integrand and the window within _LOG_TRUNC of
-  it; one fixed composite Gauss-Legendre rule over that window, evaluated
-  as a single numpy array and shifted by its largest node value, gives the
-  log-integral, and the same node weights give the two tilted moments.
+* uniform laws and diffuniform use 1F1(a; a+1; c), a = 1/p, in closed form:
+  series, Watson's lemma and complete gamma functions (``_power_tilted``),
+* the normal uses the chi-square closed form at p = 2 and otherwise one
+  composite Gauss-Legendre rule in z = log x, laid out from the peak of the
+  log-integrand (``_half_normal_tilted``),
+* zero-inflated laws mix their base law's kernel with the atom at zero.
 """
 from __future__ import annotations
 
@@ -37,16 +33,17 @@ import numpy as np
 from ._special import digamma_trigamma, gammaln, logsumexp
 from .seeding import generator
 
-# switch the MGF integral to the u = x^p coordinate below this p
-_POWER_COORD_P = 1.0
 # drop integrand contributions this far (in log) below the peak
 _LOG_TRUNC = 80.0
-# composite Gauss-Legendre rule: points per panel, uniform panels per window
-_GL_ORDER = 16
-_WINDOW_PANELS = 64
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-# on unbounded support the MGF window's upper limit doubles at most this often
-_MAX_DOUBLINGS = 200
+# the 16-point Gauss-Legendre rule on [-1, 1]: its positive nodes and their weights
+_GL_HALF = (
+    (0.09501250983763744, 0.18945061045506864), (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265), (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407), (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456), (0.9894009349916499, 0.027152459411754176),
+)
+_GL_NODES = np.array([-x for x, _ in reversed(_GL_HALF)] + [x for x, _ in _GL_HALF])
+_GL_WEIGHTS = np.array([w for _, w in reversed(_GL_HALF)] + [w for _, w in _GL_HALF])
 _LOG2 = math.log(2.0)
 
 
@@ -59,48 +56,194 @@ def as_sign(sign) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def _log_integral(
-    log_weight, log_w, lo: float, hi: float, probes: np.ndarray, vals: np.ndarray
-) -> tuple[float, float, float]:
-    """(log integral, tilted mean, tilted variance) of exp(log_weight(u)) over (lo, hi).
+def _power_series(c: float, a: float, triangular: bool) -> tuple[float, float, float]:
+    """(K, E Y, E Y^2) by E[Y^j e^{cV}] = sum_n c^n/n! E[Y^j V^n], Beta
+    integrals; past c = 1 only n within 12 sqrt(c) of c count.  Summed from
+    n = 0, K is log1p of the n >= 1 terms, so a small K stays exact."""
+    n0, n1 = 0, 26
+    if c > 1.0:
+        width = 12.0 * math.sqrt(c)
+        n0, n1 = max(0, int(c - width)), int(c + width) + 26
+    n = np.arange(n0, n1, dtype=float)
+    if n0 == 0:
+        pois = np.cumprod(np.concatenate(([1.0], c / n[1:])))  # c^n / n!
+    else:
+        log_pois = np.cumsum(np.log(c / n))  # log(c^n / n!) less its value at n0 - 1
+        shift = float(log_pois.max())
+        pois = np.exp(log_pois - shift)
+    # E[Y^j V^n] = a j! / (x (x+1) ... (x+j)), x = a + n; the triangular law
+    # subtracts the same at 2a + n, which is a factor 2 (1 - e^{-r_j}) here
+    x = a + n
+    e0 = a / x
+    e1 = e0 / (x + 1.0)
+    e2 = 2.0 * e1 / (x + 2.0)
+    if triangular:
+        r0 = np.log1p(a / x)
+        r1 = r0 + np.log1p(a / (x + 1.0))
+        e0 *= -2.0 * np.expm1(-r0)
+        e1 *= -2.0 * np.expm1(-r1)
+        e2 *= -2.0 * np.expm1(-r1 - np.log1p(a / (x + 2.0)))
+    m0 = float(pois @ e0)
+    if n0 == 0:
+        k = math.log1p(float(e0[0] - 1.0) + float(pois[1:] @ e0[1:]))
+    else:
+        k = (n0 - 1) * math.log(c) - math.lgamma(n0) + shift + math.log(m0)
+    return k, float(pois @ e1) / m0, float(pois @ e2) / m0
 
-    The probes, with vals = log_weight(probes), locate the peak and the
-    window of probes whose log-integrand lies within _LOG_TRUNC of it,
-    widened by one probe on each side.  A composite _GL_ORDER-point
-    Gauss-Legendre rule covers that window, with panel edges at every probe
-    inside it (so the probe grid's geometric refinement toward an endpoint
-    grades the panels there) plus _WINDOW_PANELS uniform panels.
-    log_weight is evaluated once, on all nodes, and the sum is shifted by
-    the largest node value, so no node value is clipped however far it
-    rises above the probes.  The same node weights, normalized, give the
-    mean and (two-pass) variance of W = exp(log_w(u)).
-    """
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return -math.inf, math.nan, math.nan
-    inside = np.flatnonzero(vals >= vals[finite].max() - _LOG_TRUNC)
-    first, last = inside[0], inside[-1]
-    a = probes[first - 1] if first > 0 else lo
-    b = probes[last + 1] if last + 1 < probes.size else hi
-    edges = np.unique(
-        np.concatenate([probes[first : last + 1], np.linspace(a, b, _WINDOW_PANELS + 1)])
-    )
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * _GL_NODES).ravel()
-    weights = (half * _GL_WEIGHTS).ravel()
-    lv = np.asarray(log_weight(nodes), dtype=float)
-    keep = np.isfinite(lv)
-    if not keep.any():
-        return -math.inf, math.nan, math.nan
-    shift = float(lv[keep].max())
-    mass = np.exp(lv[keep] - shift)
-    total = float(weights[keep] @ mass)
-    mass *= weights[keep] / total
-    with np.errstate(divide="ignore"):
-        w = np.exp(log_w(nodes[keep]))
-    mean = float(mass @ w)
-    w -= mean
-    return shift + math.log(total), mean, float(mass @ (w * w))
+
+def _watson_series(c: float, a: float, triangular: bool) -> tuple[float, float, float]:
+    """(K, E Y, E Y^2) for large c by Watson's lemma on Y's density near 0:
+    e^{-c} E[Y^j e^{cV}] = a j!/c^{j+1} sum_k (1-a)_k (j+1)_k / (k! c^k); the
+    triangular law carries (1-a)_k - (1-2a)_k, which cancels at k = 0, itself."""
+    s0 = s1 = s2 = 0.0
+    flat, other, diff = 1.0, 1.0, 0.0  # (1-a)_k, (1-2a)_k and their difference, over c^k
+    r1 = r2 = 1.0  # (2)_k / k! and (3)_k / k!
+    for k in range(1, 200):
+        x = diff if triangular else flat
+        s0, s1, s2 = s0 + x, s1 + x * r1, s2 + x * r2
+        if k > 1 and abs(x * r2) <= 1e-17 * abs(s0):
+            break
+        diff = (diff * (k - a) + a * other) / c
+        other *= (k - 2.0 * a) / c
+        flat *= (k - a) / c
+        r1, r2 = r1 * (k + 1.0) / k, r2 * (k + 2.0) / k
+    y1 = s1 / (c * s0)
+    return c + math.log((2.0 if triangular else 1.0) * a * s0 / c), y1, 2.0 * y1 * s2 / (c * s1)
+
+
+def _kummer_series(c: float, a: float, triangular: bool) -> tuple[float, float, float]:
+    """(K, E Y, E Y^2) under e^{-tV}, t = -c, by E[Y^j e^{-tV}] = e^{-t} sum_n
+    t^n/n! E[Y^{n+j}], all terms positive: E Y^m = m!/(a+1)_m, or m! (2/(a+1)_m
+    - 1/(2a+1)_m) for the triangular law."""
+    t = -c
+    count = int(max(0.0, t - a - 1.0) + 12.0 * math.sqrt(t) + 40.0)
+    i = np.arange(1.0, count + 3.0)
+    log_ey = np.concatenate(([0.0], np.cumsum(np.log(i / (a + i)))))
+    if triangular:
+        log_ey[1:] += np.log(2.0 - np.exp(-np.cumsum(np.log1p(a / (a + i)))))
+    log_pois = np.concatenate(([0.0], np.cumsum(np.log(t / i[:count]))))
+    shift = float((log_pois + log_ey[: count + 1]).max())
+    m0, m1, m2 = (float(np.exp(log_pois + log_ey[j : j + count + 1] - shift).sum()) for j in range(3))
+    return -t + shift + math.log(m0), m1 / m0, m2 / m0
+
+
+def _gamma_limit(t: float, a: float, triangular: bool) -> tuple[float, float, float]:
+    """(K, E V, Var V) under e^{-tV} once P(a+j, t), the regularized lower
+    incomplete gamma, is 1 to rounding: E[V^j e^{-tV}] = a Gamma(a+j) /
+    t^{a+j}; the triangular law multiplies that by 2 (1 - R_j), where
+    R_j = Gamma(2a+j) / (Gamma(a+j) t^a) < 1."""
+    log_t = math.log(t)
+    k = math.lgamma(a + 1.0) - a * log_t
+    ratio = [1.0, 1.0, 1.0]
+    if triangular:
+        keep = [-math.expm1(math.lgamma(2.0 * a + j) - math.lgamma(a + j) - a * log_t) for j in range(3)]
+        k += math.log(2.0 * keep[0])
+        ratio = [g / keep[0] for g in keep]
+    mean = a / t * ratio[1]
+    return k, mean, a * (a + 1.0) / (t * t) * ratio[2] - mean * mean
+
+
+def _power_tilted(c: float, p: float, triangular: bool) -> tuple[float, float, float]:
+    """_tilted for |x| = b y, y on (0, 1) with a flat density or density
+    2(1 - y), at c = s t b^p.  V = y^p has density a v^{a-1}, or 2a (v^{a-1}
+    - v^{2a-1}), a = 1/p, so E e^{cV} is 1F1(a; a+1; c), or 2 1F1(a; a+1; c)
+    - 1F1(2a; 2a+1; c).  For c >= -1 the power series, then Watson's lemma
+    past max(150, 2 top), top the largest exponent used; for t = -c > 1 the
+    Kummer-transformed series, then the complete gamma functions once the
+    Poisson(t) mass below top is under 1e-17.  The series take moments of
+    Y = 1 - V, so no variance cancels where V crowds toward 1."""
+    a = 1.0 / p
+    top = (2.0 * a if triangular else a) + 2.0
+    scale = (1.0 + p) * (1.0 + 0.5 * p) if triangular else 1.0 + p  # W = scale V
+    if -c >= top + 10.0 * math.sqrt(top) + 50.0:
+        k, mean, var = _gamma_limit(-c, a, triangular)
+        return k, scale * mean, scale * scale * var
+    series = _power_series if c <= max(150.0, 2.0 * top) else _watson_series
+    k, y1, y2 = (_kummer_series if c < -1.0 else series)(c, a, triangular)
+    return k, scale * (1.0 - y1), scale * scale * (y2 - y1 * y1)
+
+
+def _half_normal_peak(log_tp: float, p: float, s: int) -> float:
+    """The z maximizing z - e^{2z}/2 + s t e^{pz}: Newton from z = 0 on
+    2z = log1p(t p e^{pz}) (s = +1, concave, approached from below) or on
+    log(e^{2z} + t p e^{pz}) = 0 (s = -1, convex, approached from above)."""
+    z = 0.0
+    for _ in range(200):
+        w = log_tp + p * z
+        if s > 0:
+            soft = max(w, 0.0) + math.log1p(math.exp(-abs(w)))
+            step = (2.0 * z - soft) / (2.0 - p * math.exp(w - soft))
+        else:
+            top = max(2.0 * z, w)
+            h = top + math.log(math.exp(2.0 * z - top) + math.exp(w - top))
+            step = h / (2.0 * math.exp(2.0 * z - h) + p * math.exp(w - h))
+        z -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(z)):
+            return z
+    return z
+
+
+def _half_normal_tilted(t: float, p: float, s: int, log_mu: float) -> tuple[float, float, float]:
+    """_tilted for the half-normal at p != 2 by one composite 16-point
+    Gauss-Legendre rule in z = log x, where the log-integrand z - e^{2z}/2
+    + s t e^{pz} is unimodal.  Nodes are offsets d from the peak z*; with
+    A = e^{2z*}/2 and B = s t e^{pz*} the integrand falls by -d + A expm1(2d)
+    - B expm1(pd).  Panels grow outward from 2 sigma, sigma = |phi''(z*)|^-1/2,
+    each at most doubling, 4 local curvature lengths, 12 slope lengths and a
+    fall of 16 wide, until the fall passes _LOG_TRUNC.  When |s t x^p| <= 1
+    on the rule, K is log1p of E[expm1(s t x^p)] over the rule's own
+    untilted mass, so a small K keeps its relative accuracy."""
+    z = _half_normal_peak(math.log(t) + math.log(p), p, s)
+    log_a = 2.0 * z - _LOG2
+    if log_a > 700.0:  # K itself is past the float range
+        return math.inf, math.nan, math.nan
+    big_a, big_b = math.exp(log_a), s * math.exp(math.log(t) + p * z)
+    peak = z - big_a + big_b
+    scale = math.exp(p * z - log_mu)  # W at the peak
+    # -phi''(z*), by 2A = 1 + pB on the side where that cancels nothing
+    sigma = 1.0 / math.sqrt(4.0 * big_a - p * p * big_b if s < 0 else 2.0 + (2.0 - p) * p * big_b)
+    if 1e-16 * (2.0 * big_a + p * abs(big_b)) * sigma > 1e-6:
+        # a peak narrower than the rounding of z* itself (s = +1, p just below
+        # 2): Laplace's approximation, far inside K's rounding, with the peak
+        # value z - A + B as z - 1/p + A (2/p - 1) by pB = 2A - 1, uncancelled
+        peak = z - 1.0 / p + big_a * (2.0 / p - 1.0)
+        return peak + math.log(2.0 * sigma), scale, (scale * p * sigma) ** 2
+    edges = [0.0]
+    for side in (1.0, -1.0):
+        d, fallen, width = 0.0, 0.0, 2.0 * sigma
+        while fallen < _LOG_TRUNC:
+            while True:
+                step = d + side * width
+                gauss = math.exp(min(log_a + 2.0 * step, 709.0))  # A e^{2d}
+                below = gauss - big_a - step - big_b * math.expm1(p * step)
+                if below <= fallen + 16.0 or fallen > 40.0:
+                    break
+                width *= 0.5
+            d, fallen, tilt = step, below, big_b * math.exp(p * step)
+            edges.append(d)
+            width *= 2.0
+            if fallen <= 40.0:
+                bend, slope = abs(4.0 * gauss - p * p * tilt), abs(1.0 - 2.0 * gauss + p * tilt)
+                width = min(width, 4.0 / math.sqrt(bend) if bend else width, 12.0 / slope if slope else width)
+    edges.sort()
+    bounds = np.array(edges)
+    half = 0.5 * (bounds[1:] - bounds[:-1])[:, None]
+    nodes = (bounds[:-1, None] + half * (1.0 + _GL_NODES)).ravel()
+    if edges[-1] < 350.0:
+        gauss_nodes = big_a * np.expm1(2.0 * nodes)
+    else:  # only a tiny A reaches this far
+        gauss_nodes = np.exp(np.minimum(log_a + 2.0 * nodes, 709.0)) - big_a
+    y = np.expm1(p * nodes)  # W / scale - 1, and s t x^p = B (1 + y)
+    mass = (half * _GL_WEIGHTS).ravel() * np.exp(nodes - gauss_nodes + big_b * y)
+    total = float(mass.sum())
+    if abs(big_b) * math.exp(min(p * edges[-1], 709.0)) <= 1.0:
+        tilt = big_b * (1.0 + y)
+        k = math.log1p(-float(mass @ np.expm1(-tilt)) / float(mass @ np.exp(-tilt)))
+    else:
+        k = peak + math.log(total / math.sqrt(0.5 * math.pi))  # over the untilted mass
+    mean = float(mass @ y) / total
+    y -= mean
+    return k, scale * (1.0 + mean), (scale * math.sqrt(float(mass @ (y * y)) / total)) ** 2
 
 
 def _spec_float(x: float) -> str:
@@ -129,26 +272,14 @@ def _with_atom_at_zero(
 ) -> tuple[float, float, float]:
     """Kernel of the law with mass a at zero and 1-a on a base law whose kernel
     is (k_base, m_base, v_base).  W = W_base / (1-a) off the atom, which
-    carries tilted mass q; the variance adds the spread between the parts."""
+    carries tilted mass q; the variance adds the spread between the parts.
+    K = log1p((1-a) expm1(K_base)) keeps its relative accuracy when small."""
     spike = math.log1p(-a) + k_base
-    k = float(np.logaddexp(math.log(a), spike))
+    big = k_base >= 700.0
+    k = spike + math.log1p(a * math.exp(-spike)) if big else math.log1p((1.0 - a) * math.expm1(k_base))
     q = math.exp(spike - k)
     q_atom = math.exp(math.log(a) - k)
     return k, q * m_base / (1.0 - a), (q * v_base + q * q_atom * m_base**2) / (1.0 - a) ** 2
-
-
-def _probe_grid(lo: float, hi: float, extra: Sequence[float] = ()) -> np.ndarray:
-    """Probe points in (lo, hi]: uniform, plus geometric toward both ends."""
-    offsets = (hi - lo) * np.geomspace(1e-12, 1.0, 97)
-    pts = np.concatenate(
-        [
-            np.linspace(lo, hi, 241)[1:],
-            lo + offsets,
-            hi - offsets[:-1],
-            np.asarray([x for x in extra if lo < x < hi], dtype=float),
-        ]
-    )
-    return np.unique(pts)
 
 
 class Distribution:
@@ -249,99 +380,8 @@ class Distribution:
         return f"{type(self).__name__}({self.spec_string()!r})"
 
 
-class _ContinuousLaw(Distribution):
-    """Density-specified law of |x| on (0, B); no atoms anywhere."""
-
-    def _abs_logpdf(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _tail_cut(self) -> float:
-        """x beyond which the density is numerically zero (inf support only)."""
-        return self.ess_sup
-
-    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
-        # W = exp(p log x - log mu_p): forming x^p and its square directly
-        # overflows on wide supports at large p
-        log_mu = math.log(self.mu_p(p))
-        if p < _POWER_COORD_P:
-            return self._tilted_power_coord(t, p, s, log_mu)
-        return self._tilted_plain(t, p, s, log_mu)
-
-    def _tilted_plain(self, t: float, p: float, s: int, log_mu: float):
-        hi = min(self.ess_sup, self._tail_cut())
-
-        def log_weight(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return s * t * np.power(x, p) + self._abs_logpdf(x)
-
-        def log_w(x):
-            return p * np.log(x) - log_mu
-
-        extra = self._stationary_points(t, p, s)
-        return _log_integral(log_weight, log_w, 0.0, *self._probes(log_weight, hi, extra))
-
-    def _tilted_power_coord(self, t: float, p: float, s: int, log_mu: float):
-        # u = x^p; du = p x^{p-1} dx keeps the small-p integrand a smooth bump
-        hi = min(self.ess_sup, self._tail_cut()) ** p
-
-        def log_weight(u):
-            u = np.asarray(u, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = np.power(u, 1.0 / p)
-                return (
-                    s * t * u
-                    + (1.0 / p - 1.0) * np.log(u)
-                    + self._abs_logpdf(x)
-                    - math.log(p)
-                )
-
-        def log_w(u):
-            return np.log(u) - log_mu
-
-        extra = []
-        if s < 0 and t > 0:
-            extra.append((1.0 / p - 1.0) / t)
-        return _log_integral(log_weight, log_w, 0.0, *self._probes(log_weight, hi, extra))
-
-    def _stationary_points(self, t: float, p: float, s: int) -> list[float]:
-        return []
-
-    def _probes(self, log_weight, hi: float, extra: Sequence[float]):
-        """(hi, probes, vals): probes = _probe_grid(0, hi, extra), vals on them.
-
-        On unbounded support _expand_upper first doubles hi; the grid it
-        evaluated at the final hi is kept, and only the extra points are
-        evaluated and merged in, so each probe is evaluated once.
-        """
-        if math.isfinite(self.ess_sup):
-            probes = _probe_grid(0.0, hi, extra)
-            return hi, probes, np.asarray(log_weight(probes), dtype=float)
-        hi, probes, vals = self._expand_upper(log_weight, hi)
-        extra = np.asarray([x for x in extra if 0.0 < x < hi], dtype=float)
-        if extra.size:
-            probes, first = np.unique(np.concatenate([probes, extra]), return_index=True)
-            vals = np.concatenate([vals, np.asarray(log_weight(extra), dtype=float)])[first]
-        return hi, probes, vals
-
-    @staticmethod
-    def _expand_upper(log_weight, hi: float):
-        """Double hi until the log-integrand there lies _LOG_TRUNC below the
-        probed peak; return hi, its probe grid and the log-integrand on it."""
-        for _ in range(_MAX_DOUBLINGS):
-            probes = _probe_grid(0.0, hi)
-            vals = np.asarray(log_weight(probes), dtype=float)
-            peak = np.nanmax(np.where(np.isfinite(vals), vals, -np.inf))
-            edge = float(log_weight(np.asarray([hi]))[0])
-            if not math.isfinite(edge) or edge < peak - _LOG_TRUNC:
-                return hi, probes, vals
-            hi *= 2.0
-        probes = _probe_grid(0.0, hi)
-        return hi, probes, np.asarray(log_weight(probes), dtype=float)
-
-
 @dataclass(frozen=True, repr=False)
-class UniformSymmetric(_ContinuousLaw):
+class UniformSymmetric(Distribution):
     """Uniform on [-b, b]; |x| is uniform on [0, b]."""
 
     b: float = 1.0
@@ -363,11 +403,8 @@ class UniformSymmetric(_ContinuousLaw):
     def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
         return _power_log_tilted(s * y, math.log(self.b), False)
 
-    def _abs_logpdf(self, x):
-        out = np.full_like(x, -np.inf, dtype=float)
-        inside = (x > 0) & (x < self.b)
-        out[inside] = -math.log(self.b)
-        return out
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
+        return _power_tilted(s * t * self.b**p, p, False)
 
     def cdf_abs(self, x: float) -> float:
         return float(np.clip(x / self.b, 0.0, 1.0))
@@ -380,30 +417,10 @@ class UniformSymmetric(_ContinuousLaw):
 
 
 @dataclass(frozen=True, repr=False)
-class UniformUnit(_ContinuousLaw):
-    """Uniform on [0, 1]."""
+class UniformUnit(UniformSymmetric):
+    """Uniform on [0, 1]; |x| has the law of uniform:b=1's |x|."""
 
-    closed_family = "uniform-cube"
-
-    @property
-    def ess_sup(self) -> float:
-        return 1.0
-
-    def abs_moment(self, q: float) -> float:
-        if q <= -1:
-            return math.inf
-        return 1.0 / (1.0 + q)
-
-    def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
-        return _power_log_tilted(s * y, 0.0, False)
-
-    def _abs_logpdf(self, x):
-        out = np.full_like(x, -np.inf, dtype=float)
-        out[(x > 0) & (x < 1)] = 0.0
-        return out
-
-    def cdf_abs(self, x: float) -> float:
-        return float(np.clip(x, 0.0, 1.0))
+    b: float = field(default=1.0, init=False)
 
     def draw(self, rng, size):
         return rng.random(size)
@@ -413,7 +430,7 @@ class UniformUnit(_ContinuousLaw):
 
 
 @dataclass(frozen=True, repr=False)
-class DiffUniform(_ContinuousLaw):
+class DiffUniform(Distribution):
     """|y - z| for independent y, z uniform on [-1, 1]; density 1 - x/2 on [0, 2]."""
 
     closed_family = "diff-uniform"
@@ -430,11 +447,8 @@ class DiffUniform(_ContinuousLaw):
     def _log_tilted(self, y: float, s: int) -> tuple[float, float, float]:
         return _power_log_tilted(s * y, _LOG2, True)
 
-    def _abs_logpdf(self, x):
-        out = np.full_like(x, -np.inf, dtype=float)
-        inside = (x > 0) & (x < 2)
-        out[inside] = np.log1p(-x[inside] / 2.0)
-        return out
+    def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
+        return _power_tilted(s * t * 2.0**p, p, True)
 
     def cdf_abs(self, x: float) -> float:
         x = float(np.clip(x, 0.0, 2.0))
@@ -448,7 +462,7 @@ class DiffUniform(_ContinuousLaw):
 
 
 @dataclass(frozen=True, repr=False)
-class StandardNormal(_ContinuousLaw):
+class StandardNormal(Distribution):
     """Standard normal; |x| is half-normal."""
 
     closed_family = "standard-normal"
@@ -485,23 +499,6 @@ class StandardNormal(_ContinuousLaw):
         k = 0.5 * q * _LOG2 + gammaln(h) - 0.5 * math.log(math.pi)
         return k, 0.5 * (_LOG2 + psi), 0.25 * psi1
 
-    def _abs_logpdf(self, x):
-        out = np.full_like(x, -np.inf, dtype=float)
-        inside = x > 0
-        out[inside] = 0.5 * math.log(2.0 / math.pi) - x[inside] ** 2 / 2.0
-        return out
-
-    def _tail_cut(self) -> float:
-        return 42.0
-
-    def _stationary_points(self, t, p, s):
-        # the plus-side peak x* = (t p)^(1/(2-p)); near p = 2 it can pass the
-        # float range, but no window reaches past _MAX_DOUBLINGS doublings
-        if s > 0 and p < 2.0:
-            if math.log(t * p) / (2.0 - p) < math.log(self._tail_cut()) + _MAX_DOUBLINGS * _LOG2:
-                return [(t * p) ** (1.0 / (2.0 - p))]
-        return []
-
     def _tilted(self, t: float, p: float, s: int) -> tuple[float, float, float]:
         if p == 2.0:
             # x^2 is chi-square(1): under exp(s t x^2) it is Gamma(1/2, 2/c),
@@ -512,7 +509,7 @@ class StandardNormal(_ContinuousLaw):
             return -0.5 * math.log(c), 1.0 / c, 2.0 / (c * c)
         if p > 2.0 and s > 0:
             return math.inf, math.nan, math.nan
-        return super()._tilted(t, p, s)
+        return _half_normal_tilted(t, p, s, math.log(self.abs_moment(p)))
 
     def cdf_abs(self, x: float) -> float:
         if x <= 0:

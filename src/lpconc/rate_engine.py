@@ -151,8 +151,10 @@ def rate(dist: Distribution, p: float, delta: float, sign) -> RateResult:
 
     sup_abs = dist.ess_sup
     if s > 0 and math.isfinite(sup_abs):
-        if (1.0 + delta) ** p * dist.mu_p(p) > sup_abs**p:
-            # band above the essential sup of the powered mean
+        over = (1.0 + delta) ** p * dist.mu_p(p) - sup_abs**p
+        # band above the essential sup of the powered mean, or on it with no
+        # atom there, so that lam climbs forever as t -> inf
+        if over > 0.0 or (over == 0.0 and dist.cdf_abs(sup_abs) == dist.cdf_abs_left(sup_abs)):
             return RateResult(math.inf, None, REGIME_DIVERGENT, 0, True)
 
     two_point = getattr(dist, "abs_two_point", None)
@@ -180,17 +182,20 @@ def _newton_max(
     +inf past a divergence.  start is the Newton step from tau = 0, or nan.
     [lo, hi] brackets the maximizer by the sign of lam'; a step that leaves
     it bisects, and so does a step below REL_TOL_ARG taken from a value more
-    than REL_TOL_VALUE below the best seen.  Until hi is finite, a step that
-    grows tau by half or more is stretched by a factor that doubles each
-    time, so a maximizer beyond _DIVERGENT_TILT, reported as +inf with no
-    argmax, is found within MAX_ITER.  Returns (value, argmax, iterations,
+    than REL_TOL_VALUE, or K's rounding, below the best seen.  Once hi is
+    finite, a Newton step that does not halve the one before it bisects too,
+    as in Numerical Recipes' rtsafe: far past a steep K, as just below p = 2,
+    Newton's steps are a tiny fraction of the bracket.  Until hi is finite,
+    a step that grows tau by half or more is stretched by a factor that
+    doubles each time, so a maximizer beyond _DIVERGENT_TILT, reported as
+    +inf with no argmax, is found within MAX_ITER.  Returns (value, argmax, iterations,
     tolerance_met), where iterations count kernel evaluations.
     """
     lo, tau = 0.0, start
     if not lo < tau < hi:
         tau = _midpoint(lo, hi) if math.isfinite(hi) else 1.0
     best_value, best_tau = 0.0, 0.0
-    stretch = 1.0
+    stretch, moved = 1.0, math.inf
     for iters in range(1, MAX_ITER + 1):
         k, m, v = kernel(tau)
         if not math.isfinite(k):
@@ -209,7 +214,8 @@ def _newton_max(
             hi = tau
         step = slope / v if v > 0.0 else math.copysign(math.inf, slope)
         if abs(step) <= REL_TOL_ARG * tau:
-            if value >= best_value - REL_TOL_VALUE * best_value:
+            # where lam << K (atoms, p -> 0) K's rounding bounds what lam can show
+            if value >= best_value - REL_TOL_VALUE * best_value - 1e-14 * abs(k):
                 return best_value, best_tau, iters, True
             # a tiny step from below the best value seen: the curvature here
             # is too steep to locate the maximizer, so bisect instead
@@ -220,7 +226,10 @@ def _newton_max(
             step = min(step * stretch, _DIVERGENT_TILT)
         else:
             stretch = 1.0
-        tau = tau + step if lo < tau + step < hi else _midpoint(lo, hi)
+        if lo < tau + step < hi and (math.isinf(hi) or 2.0 * abs(step) <= moved):
+            moved, tau = abs(step), tau + step
+        else:
+            moved, tau = math.inf, _midpoint(lo, hi)
     return best_value, best_tau, MAX_ITER, False
 
 

@@ -184,6 +184,24 @@ def test_out_file_and_byte_identical_reruns(tmp_path, capsys):
     assert len(document["results"]["freq"]) == 2
 
 
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys):
+    # run() builds its parser once; parsing one subcommand must leave nothing
+    # behind that changes the next, so interleaved runs repeat byte for byte
+    argvs = [
+        ["rates", "--dist", "normal", "--p", "0.5,1.5", "--delta", "0.2", "--format", "json"],
+        ["curve", "--dist", "uniform01", "--p", "0.5", "--n", "16", "--M", "200", "--seed", "2"],
+        ["validate", "--dist", "diffuniform", "--p-probe", "0.5", "--format", "csv"],
+    ]
+    written = []
+    for i in (0, 1, 2, 2, 1, 0):
+        target = tmp_path / f"{i}.out"  # the echoed --out path is part of the bytes
+        assert run(argvs[i] + ["--out", str(target)]) == 0
+        written.append(target.read_bytes())
+    assert capsys.readouterr().out == ""
+    assert written[:3] == written[3:][::-1]
+    assert len(set(written[:3])) == 3
+
+
 def test_curve_results_do_not_depend_on_workers(tmp_path, monkeypatch):
     base = ["curve", "--dist", "uniform01", "--p", "1.0", "--n", "2048",
             "--M", "3000", "--seed", "8", "--format", "json"]

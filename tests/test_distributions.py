@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from lpconc import distributions as dist_module
 from lpconc.distributions import (
     DiffUniform,
     Empirical,
@@ -217,34 +216,27 @@ def test_mgf_matches_mpmath_oracle_across_p_and_t():
                     )
 
 
-def test_unbounded_mgf_evaluates_each_probe_grid_once(monkeypatch):
-    # plus side at p=1.5, t=5: the stationary point (t p)^(1/(2-p)) = 56.25
-    # lies beyond the tail cut 42, so the upper limit doubles once to 84
-    built = []
-    probe_grid = dist_module._probe_grid
+def test_normal_log_mgf_just_below_p2_matches_mpmath():
+    # at p = 1.999, t = 0.6 the log-integrand z - e^{2z}/2 + t e^{pz} peaks at
+    # z* = log(1 + t p e^{pz*}) / 2, near log(t p)/(2 - p) = 182, with a width
+    # near 1e-77; the oracle integrates around z* at 180 digits, enough to
+    # resolve that width, and K, about 2e154, is checked relatively
+    t, p = 0.6, 1.999
+    with mpmath.workdps(180):
+        tm, pm = mpmath.mpf(t), mpmath.mpf(p)
 
-    def counting(lo, hi, extra=()):
-        built.append(hi)
-        return probe_grid(lo, hi, extra)
+        def phi(z):
+            return z - mpmath.exp(2 * z) / 2 + tm * mpmath.exp(pm * z)
 
-    monkeypatch.setattr(dist_module, "_probe_grid", counting)
-    StandardNormal().log_mgf_abs_p(5.0, 1.5, "+")
-    assert built == [42.0, 84.0]
-
-
-def test_expanded_probe_grid_merges_the_stationary_points():
-    normal = StandardNormal()
-    t, p = 5.0, 1.5
-
-    def log_weight(x):
-        return t * np.power(x, p) + normal._abs_logpdf(x)
-
-    extra = normal._stationary_points(t, p, +1)
-    hi, probes, vals = normal._probes(log_weight, 42.0, extra)
-    assert hi == 84.0
-    expected = dist_module._probe_grid(0.0, hi, extra)
-    assert np.array_equal(probes, expected)
-    assert np.array_equal(vals, log_weight(expected))
+        z_star = mpmath.findroot(
+            lambda z: 2 * z - mpmath.log(1 + tm * pm * mpmath.exp(pm * z)),
+            mpmath.log(tm * pm) / (2 - pm),
+        )
+        sigma = 1 / mpmath.sqrt(2 + (2 - pm) * pm * tm * mpmath.exp(pm * z_star))
+        peak = phi(z_star)
+        mass = sigma * mpmath.quad(lambda u: mpmath.exp(phi(z_star + u * sigma) - peak), [-12, 0, 12])
+        ref = float(peak + mpmath.log(mass) - mpmath.log(mpmath.sqrt(mpmath.pi / 2)))
+    assert StandardNormal().log_mgf_abs_p(t, p, "+") == pytest.approx(ref, rel=1e-9)
 
 
 @pytest.mark.parametrize("spec", [

@@ -44,8 +44,8 @@ CASES = {
 }
 
 DIGESTS = {
-    ("rates", "json"): "692655415010e43af5f9c2a7de5371c5d8032fe8dfc377943c2d09626c46baf8",
-    ("rates", "csv"): "9955ac4b7b287583c2ee3b905a06f71b590de97c77ed948b79ef95b7ec126469",
+    ("rates", "json"): "fc663cabdbd12eaffc6c55c15d0162ed7e911df39d5cb8f7e93683eb231e3aeb",
+    ("rates", "csv"): "4ffe155a7513e597a198025cc918525dd58ae7e175199562a9e02191509ce7f8",
     ("curve", "json"): "20f70e2cbee74b2d6ebdc1dc76a2f6342a2fc0dd084b71eff7fb00af3c5f2cb8",
     ("curve", "csv"): "cc084d9cba54077008f3449f8b8e4e3a459a6738284bded6fb14a4d2d12c2780",
     ("curve-failed", "json"): "01c19a98b0659537d708cdeae3a4aa727d03a73c6ae189bf2b4ee664f6d3f3ee",

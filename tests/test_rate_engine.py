@@ -27,6 +27,7 @@ from lpconc.distributions import (
     TwoPoint,
     UniformSymmetric,
     UniformUnit,
+    ZeroInflated,
 )
 from lpconc.rate_engine import (
     REGIME_DIVERGENT,
@@ -144,6 +145,14 @@ def test_divergent_regimes():
     # but finite just below the threshold p
     assert rate(UniformUnit(), 15.0, 0.2, +1).value < math.inf
     assert rate(TwoPoint(a=0.5, r=1.0), 3.5, 0.2, +1).value < math.inf
+    # band exactly on the ess sup with no atom there: lam grows without bound
+    # in t, where the tilted mean rounds to the band long before it diverges
+    for dist, p, delta in ((UniformUnit(), 1.0, 1.0), (UniformSymmetric(2.0), 1.0, 1.0),
+                           (DiffUniform(), 1.0, 2.0), (ZeroInflated(0.2, UniformUnit()), 1.0, 1.5)):
+        res = rate(dist, p, delta, +1)
+        assert res.value == math.inf and res.regime == REGIME_DIVERGENT, dist
+    # with an atom there the supremum is finite: -log P(x = r)
+    assert rate(TwoPoint(a=0.5, r=1.0), 1.0, 1.0, +1).value == pytest.approx(math.log(2.0))
 
 
 def test_rate_rejects_p_beyond_exponential_order():
@@ -239,6 +248,50 @@ def test_rate_matches_mpmath_first_order_root(dist):
                 assert res.regime == REGIME_INTERIOR, label
                 ref = _oracle_rate(dist, p, delta, sign, res.argmax_t)
                 assert res.value == pytest.approx(ref, rel=1e-9), label
+
+
+def _zero_inflated_rate_oracle(a, base, p, delta, sign, t_start):
+    """sup_t of s t B mu_p - log(a + (1-a) E exp(s t X^p)) for the law with
+    mass a at zero and 1-a on base, at the root of its derivative."""
+    with mpmath.workdps(40):
+        a, p = mpmath.mpf(a), mpmath.mpf(p)
+
+        def base_pair(c):
+            # (E exp(c X^p), E X^p exp(c X^p)) under the base law
+            if isinstance(base, UniformUnit):
+                return _powered_integral(0, c, p), _powered_integral(p, c, p)
+            # half-normal in z = log x: pi^{-1/2} sqrt(2) exp(z - e^{2z}/2) dz
+            pair = [
+                mpmath.quad(
+                    lambda z: mpmath.exp(z - mpmath.exp(2 * z) / 2 + k * p * z + c * mpmath.exp(p * z)),
+                    [-300, -60, -20, -5, 0, 1, 2, 3, 5],
+                )
+                / mpmath.sqrt(mpmath.pi / 2)
+                for k in (0, 1)
+            ]
+            return pair[0], pair[1]
+
+        target = (1 + sign * mpmath.mpf(delta)) ** p * (1 - a) * base_pair(0)[1]
+
+        def first_order(log_t):
+            mgf, tilted = base_pair(sign * mpmath.exp(log_t))
+            return (1 - a) * tilted / (a + (1 - a) * mgf) - target
+
+        t = mpmath.exp(mpmath.findroot(first_order, mpmath.log(t_start)))
+        return float(sign * t * target - mpmath.log(a + (1 - a) * base_pair(sign * t)[0]))
+
+
+@pytest.mark.parametrize("base", [StandardNormal(), UniformUnit()], ids=repr)
+def test_tiny_zero_inflated_rates_match_mpmath_relatively(base):
+    # at p = 1e-4, delta = 0.01 the rate is about 1.16e-12 while lam = s t B mu_p
+    # - K cancels two numbers near 2.3e-6, so K must keep its relative accuracy
+    dist = ZeroInflated(0.3, base)
+    for sign, expected in ((+1, 1.155e-12), (-1, 1.178e-12)):
+        res = rate(dist, 1e-4, 0.01, sign)
+        assert res.tolerance_met and res.regime == REGIME_INTERIOR, sign
+        ref = _zero_inflated_rate_oracle(0.3, base, 1e-4, 0.01, sign, res.argmax_t)
+        assert ref == pytest.approx(expected, rel=1e-3), sign
+        assert res.value == pytest.approx(ref, rel=1e-6), sign
 
 
 def test_normal_rate_at_p2_is_the_chi_square_rate():
