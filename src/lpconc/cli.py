@@ -111,7 +111,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float64 too
     return str(value)
 
 
@@ -461,6 +461,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         _write(_emit(_config(args), payload, header, rows), args.out)
     except (ValueError, OSError, KeyError) as error:
         print(f"lpconc: {error}", file=sys.stderr)
+        return 1
+    except OverflowError as error:
+        print(f"lpconc: a result overflows a float: {error}", file=sys.stderr)
         return 1
     return 0
 

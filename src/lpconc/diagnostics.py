@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .monte_carlo import _band_count, _log_abs, _log_norms_at, _pooled_log_mu
+from .monte_carlo import _band_count, _log_norms_at, _pooled_log_mu, _reduce_logs
 from .seeding import generator
 
 __all__ = [
@@ -368,21 +368,25 @@ def concentration_curve(
         raise ValueError("delta must lie in (0, 1)")
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-    logs = _log_abs(data.values)
     per_column = normalization == "per-column"
     fractions: list[float] = []
     flagged: list[bool] = []
     # per-column reduces the columns first, then divides each entry by its
     # column's mu_j^(1/p) so that the typical row value is 1
-    by_p = _log_norms_at(logs.T if per_column else logs, p_grid, logs_taken=True)
+    by_p = _log_norms_at(data.values.T if per_column else data.values, p_grid)
+    if per_column:
+        # -inf for zeros: a finite stand-in shifted by its column's scale
+        # could rise above a real log of its row
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(data.values))
     for p, log_norms in zip(p_grid, by_p):
         if per_column:
             log_scale = log_norms - math.log(data.M) / p
             log_mu = 0.0 if np.isfinite(log_scale).all() else math.nan
             if log_mu == 0.0:
-                log_norms = _log_norms_at(logs - log_scale, (p,), logs_taken=True)[0]
+                log_norms = _reduce_logs(logs - log_scale, None, (p,), own=True)[0] / p
         else:
-            log_mu = _pooled_log_mu(log_norms, p, logs.size)
+            log_mu = _pooled_log_mu(log_norms, p, data.values.size)
         if math.isfinite(log_mu):
             fractions.append(_band_count(log_norms, data.n, p, log_mu, delta) / data.M)
             flagged.append(False)

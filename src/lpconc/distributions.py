@@ -296,10 +296,6 @@ class Distribution:
         raise NotImplementedError
 
     @property
-    def ess_inf_abs(self) -> float:
-        return 0.0
-
-    @property
     def exp_moment_order(self) -> float:
         """Largest p0 such that E[exp(t*|x|^p0)] is finite for some t > 0."""
         return math.inf
@@ -677,10 +673,6 @@ class Empirical(Distribution):
     @property
     def ess_sup(self) -> float:
         return float(self._abs_sorted[-1])
-
-    @property
-    def ess_inf_abs(self) -> float:
-        return float(self._abs_sorted[0])
 
     def abs_moment(self, q: float) -> float:
         av = self._abs_sorted

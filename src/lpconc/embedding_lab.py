@@ -18,7 +18,6 @@ from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this n
 from .monte_carlo import (
     _band_count,
     _chunk_plan,
-    _log_abs,
     _log_norms_at,
     _median,
     _pooled_log_mu,
@@ -144,9 +143,9 @@ def concentration_table(
         raise ValueError("delta must lie in (0, 1)")
     cells: list[TableCell] = []
     for kind in kinds:
-        logs = _log_abs(generate(kind, M, derive_seed(seed, _KIND_INDEX[kind.name], 0)))
-        for p, log_norms in zip(p_grid, _log_norms_at(logs, p_grid, logs_taken=True)):
-            log_mu = _pooled_log_mu(log_norms, p, logs.size)
+        values = generate(kind, M, derive_seed(seed, _KIND_INDEX[kind.name], 0))
+        for p, log_norms in zip(p_grid, _log_norms_at(values, p_grid)):
+            log_mu = _pooled_log_mu(log_norms, p, values.size)
             inside = _band_count(log_norms, kind.dim, p, log_mu, delta)
             cells.append(
                 TableCell(kind.name, float(p), inside / M, wilson_halfwidth(inside, M))

@@ -12,12 +12,13 @@ in row-block tasks, so one held chunk still fills every thread.  Every
 entry is drawn once and its log|entry| taken once, however many p it is
 reduced at: contrast_sweep reduces each chunk at every p of its list, and
 band_frequency_at holds log|entry| of up to _HELD_ENTRIES entries (256 MiB)
-for a p bisection, drawing chunks past that again at each p.  Zero entries
-are kept off numpy's slow log and exp path by a finite stand-in and a
-mask, with the same bits as log 0 = -inf: a 0/1 float mask where a block
-is reduced at once (it multiplies faster), a boolean one where a bisection
-holds it (an eighth of the memory).  The empirical mean of |entry|^p is
-pooled from the row norms.
+for a p bisection, drawing chunks past that again at each p.  Taken logs
+have one form: zeros are log of the smallest subnormal, kept off numpy's
+slow log and exp path, with a mask of the nonzero entries that gives the
+bits of log 0 = -inf; the mask is 0/1 float where a block is reduced at
+once (it multiplies faster), boolean where a bisection holds it (an eighth
+of the memory).  The empirical mean of |entry|^p is pooled from the row
+norms.
 """
 
 from __future__ import annotations
@@ -59,11 +60,9 @@ CHUNK_TARGET_ENTRIES = 1 << 22
 _BLOCK_ENTRIES = 1 << 17
 # band_frequency_at holds log|entry| of at most this many entries (256 MiB)
 _HELD_ENTRIES = 1 << 25
-# inside the kernel a zero entry's log is a finite stand-in no larger than the
-# log of any positive float: log of the smallest subnormal for entries the
-# kernel logs itself, _LOG_ZERO for taken logs (below log(_TINY) = -744.44)
+# a zero entry's taken log is log(_TINY), the log of the smallest subnormal,
+# no larger than the log of any positive float
 _TINY = 5e-324
-_LOG_ZERO = -745.0
 
 _WILSON_Z = 1.959963984540054
 
@@ -112,45 +111,18 @@ def _log_abs_finite(a: np.ndarray) -> np.ndarray | None:
     return np.logical_not(zero, out=zero)
 
 
-def _log_abs(values: np.ndarray) -> np.ndarray:
-    """log|values| in a new array; zeros give -inf.
-
-    Taken in place a _BLOCK_ENTRIES slice at a time, so no temporary
-    outgrows a slice.
-    """
-    a = np.abs(values)
-    flat = a.ravel(order="K")  # a view: np.abs writes in the input's memory order
-    for start in range(0, flat.size, _BLOCK_ENTRIES):
-        part = flat[start : start + _BLOCK_ENTRIES]
-        keep = _log_abs_finite(part)
-        if keep is not None:
-            with np.errstate(divide="ignore"):
-                part /= keep  # stand-in / 0 = -inf
-    return a
-
-
-def _finite_logs(block: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Taken logs with -inf for zeros as (logs, keep) for _row_logsumexp:
-    block itself and None when it holds no -inf, else a copy with
-    _LOG_ZERO in place of -inf and the 0/1 float mask of the other entries."""
-    zero = block == -np.inf
-    if not zero.any():
-        return block, None
-    return np.maximum(block, _LOG_ZERO), np.logical_not(zero, out=zero).astype(float)
-
-
 def _reduce_logs(
     logs: np.ndarray, keep: np.ndarray | None, ps: Sequence[float], own: bool
 ) -> np.ndarray:
     """p * log_lp_norms of a block of rows at each p of ps, from its taken
-    logs in finite stand-in form with keep, the mask of nonzero entries
-    (None for none zero).  With own, logs are scaled in place at the last
-    p.  Zeros stay off numpy's slow log/exp path (see _log_abs_finite and
+    logs (see _log_abs_finite) and keep, their mask of nonzero entries, or
+    from logs with -inf for zeros and keep None.  With own, logs are scaled
+    in place at the last p.  Zeros stay off numpy's slow log/exp path (see
     _row_logsumexp) unless p is so large that their stand-in's distance to
     a row maximum could overflow."""
     out = np.empty((len(ps), logs.shape[0]))
     for k, p in enumerate(ps):
-        if keep is None or math.isfinite(2.0 * _LOG_ZERO * p):
+        if keep is None or math.isfinite(2.0 * math.log(_TINY) * p):
             scaled = np.multiply(logs, p, out=logs if own and k == len(ps) - 1 else None)
             out[k] = _row_logsumexp(scaled, keep)
         else:
@@ -163,13 +135,12 @@ def _reduce_logs(
     return out
 
 
-def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = False) -> np.ndarray:
+def _log_norms_at(values: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     """log_lp_norms(values, p) for each p of ps, stacked on a new first axis.
 
     Rows are taken a block of about _BLOCK_ENTRIES at a time; abs and log
     run once per block for every p, and the last p scales that block in
-    place.  With logs_taken, values already hold log|entry| (-inf for
-    zeros) and are only read.
+    place.
     """
     if not all(p > 0 for p in ps):
         raise ValueError("p must be positive")
@@ -179,14 +150,10 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float], logs_taken: bool = Fa
     out = np.empty((len(ps), rows.shape[0]))
     step = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, rows.shape[0], step):
-        block = rows[start : start + step]
-        if logs_taken:
-            logs, keep = _finite_logs(block)
-        else:
-            logs = np.abs(block)
-            keep = _log_abs_finite(logs)
-            keep = None if keep is None else keep.astype(float)
-        out[:, start : start + step] = _reduce_logs(logs, keep, ps, own=logs is not block)
+        logs = np.abs(rows[start : start + step])
+        keep = _log_abs_finite(logs)
+        keep = None if keep is None else keep.astype(float)
+        out[:, start : start + step] = _reduce_logs(logs, keep, ps, own=True)
     return (out / np.array(ps, dtype=float)[:, None]).reshape(len(ps), *values.shape[:-1])
 
 
@@ -288,16 +255,23 @@ def _map_tasks(
 
 
 def _sample_log_norms(
-    dist: Distribution, shape: tuple[int, ...], ps: tuple, M: int, seed: int, workers: int | None
-) -> np.ndarray:
-    """Row log-norms at each p of ps of M draws of the given row shape, in
-    chunk order: shape (len(ps), M, *shape[:-1])."""
+    dist: Distribution, samples: Sequence[tuple[int, tuple, tuple]], M: int, workers: int | None
+) -> list[np.ndarray]:
+    """Row log-norms of M draws for each (seed, row shape, ps) sample, at
+    each p of its ps and in chunk order: shape (len(ps), M, *shape[:-1]).
+    One pool runs every chunk of every sample, largest first."""
+    tasks = [(s, c) for s, x in enumerate(samples) for c in _chunk_plan(M, math.prod(x[1]))]
 
-    def one(chunk: tuple[int, int, int]) -> np.ndarray:
-        index, _, rows = chunk
+    def one(task: tuple[int, tuple[int, int, int]]) -> np.ndarray:
+        s, (index, _, rows) = task
+        seed, shape, ps = samples[s]
         return _log_norms_at(dist.draw(generator(seed, index), (rows, *shape)), ps)
 
-    return np.concatenate(_map_tasks(one, _chunk_plan(M, math.prod(shape)), workers), axis=1)
+    parts: list[list[np.ndarray]] = [[] for _ in samples]
+    done = _map_tasks(one, tasks, workers, size=lambda t: t[1][2] * math.prod(samples[t[0]][1]))
+    for (s, _), part in zip(tasks, done):
+        parts[s].append(part)
+    return [np.concatenate(part, axis=1) for part in parts]
 
 
 def _checked_log_mu(log_mu: float) -> float:
@@ -357,36 +331,25 @@ def _band_frequencies(
     """concentration_frequency at each (n, p, seed) cell, or the ValueError
     or OverflowError the cell raised.
 
-    Every cell is checked before anything is drawn.  Then one pool runs
-    every chunk of every cell, largest first, and each cell's row norms are
-    concatenated in chunk order before they are pooled and counted.
+    Every cell is checked before anything is drawn; then the cells that
+    passed are sampled on one pool (see _sample_log_norms).
     """
     results: list = [None] * len(cells)
-    log_mus: dict[int, float | None] = {}
-    tasks = []
-    for c, (n, p, _) in enumerate(cells):
+    checked: list[tuple[int, float | None]] = []
+    samples = []
+    for c, (n, p, seed) in enumerate(cells):
         try:
             _check_band(n, delta, M)
-            log_mus[c] = _law_log_mu(dist, p, normalization)
+            log_mu = _law_log_mu(dist, p, normalization)
             if not p > 0:
                 raise ValueError("p must be positive")
         except (ValueError, OverflowError) as exc:
             results[c] = exc
         else:
-            tasks += [(c, chunk) for chunk in _chunk_plan(M, n)]
-
-    def one(task: tuple[int, tuple[int, int, int]]) -> np.ndarray:
-        c, (index, _, rows) = task
-        n, p, seed = cells[c]
-        return _log_norms_at(dist.draw(generator(seed, index), (rows, n)), (p,))[0]
-
-    parts: dict[int, list[np.ndarray]] = {c: [] for c in log_mus}
-    done = _map_tasks(one, tasks, workers, size=lambda t: t[1][2] * cells[t[0]][0])
-    for (c, _), part in zip(tasks, done):
-        parts[c].append(part)
-    for c, log_mu in log_mus.items():
+            checked.append((c, log_mu))
+            samples.append((seed, (n,), (p,)))
+    for (c, log_mu), (log_norms,) in zip(checked, _sample_log_norms(dist, samples, M, workers)):
         n, p, _ = cells[c]
-        log_norms = np.concatenate(parts[c])
         if log_mu is None:
             try:
                 log_mu = _checked_log_mu(_pooled_log_mu(log_norms, p, M * n))
@@ -428,8 +391,8 @@ def band_frequency_at(
     bit for bit, from one sample drawn here.
 
     The chunks that fit in _HELD_ENTRIES are held in row blocks of about
-    _BLOCK_ENTRIES entries, each as its logs in finite stand-in form with
-    its boolean mask of nonzero entries (see _log_abs_finite), taken once;
+    _BLOCK_ENTRIES entries, each as its taken logs with their boolean mask
+    of nonzero entries (see _log_abs_finite), taken once;
     each call only scales and reduces the blocks at its p, one task per
     block so that a single held chunk still fills the pool, and draws the
     later chunks again.  Every map runs on pool when one is given (its
@@ -576,7 +539,7 @@ def contrast_sweep(
     if not ps or not all(p > 0 for p in ps):
         raise ValueError("p_grid must be nonempty and every p positive")
     log_mus = [_law_log_mu(dist, p, normalization) for p in ps]
-    log_norms = _sample_log_norms(dist, (2, n), ps, M, seed, workers)
+    (log_norms,) = _sample_log_norms(dist, [(seed, (2, n), ps)], M, workers)
     half_lo, half_hi = math.log1p(-delta / 2.0), math.log1p(delta / 2.0)
     summaries = []
     for p, log_mu, log_norm in zip(ps, log_mus, log_norms):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lpconc import monte_carlo
-from lpconc.cli import SCHEMA_VERSION, WORKERS_ENV, build_parser, run
+from lpconc.cli import SCHEMA_VERSION, WORKERS_ENV, _cell, build_parser, run
 
 
 def _json_out(capsys):
@@ -258,6 +258,19 @@ def test_contrast_reports_an_overflowing_mean_as_an_error(capsys):
     code = run(["contrast", "--dist", "uniform:b=2", "--n", "16", "--p", "5000", "--M", "200"])
     assert code == 1
     assert capsys.readouterr().err.startswith("lpconc:")
+
+
+def test_rates_report_an_overflowing_moment_as_an_error(capsys):
+    # 10^400 overflows the law's mean of |x|^p before any rate is solved
+    assert run(["rates", "--dist", "uniform:b=10", "--p", "400", "--delta", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lpconc:") and "overflow" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", [0.1, 0.04252808594960955, -2.5e-300, float("nan"), float("inf")])
+def test_numpy_floats_render_like_python_floats(value):
+    assert _cell(np.float64(value)) == _cell(value) == repr(value)
 
 
 @pytest.mark.parametrize("module", ["lpconc", "lpconc.cli"])

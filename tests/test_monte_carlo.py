@@ -120,10 +120,16 @@ def test_log_norms_at_matches_log_lp_norms_bit_for_bit(monkeypatch, shape):
         np.testing.assert_array_equal(stacked[k], log_lp_norms(x, p))
         np.testing.assert_array_equal(stacked[k], _one_block_log_norms(x, p))
         assert np.all(stacked[k][zero_rows] == -np.inf)
-    logs = monte_carlo._log_abs(x)
-    held = logs.copy()
-    np.testing.assert_array_equal(monte_carlo._log_norms_at(logs, KERNEL_P, logs_taken=True), stacked)
-    np.testing.assert_array_equal(logs, held)  # taken logs are only read
+    # taken logs reduced whole, with the float and the boolean mask
+    logs = np.abs(x).reshape(-1, shape[-1])
+    keep = monte_carlo._log_abs_finite(logs)
+    for mask in (keep, keep.astype(float)):
+        held = logs.copy()
+        reduced = monte_carlo._reduce_logs(logs, mask, KERNEL_P, own=False)
+        np.testing.assert_array_equal(
+            reduced / np.array(KERNEL_P)[:, None], stacked.reshape(len(KERNEL_P), -1)
+        )
+        np.testing.assert_array_equal(logs, held)  # without own, logs are only read
 
 
 @pytest.mark.parametrize("block_entries", [1, 700, 1000, 1 << 30])
@@ -248,11 +254,18 @@ def test_log_norms_pinned_to_plain_numpy_with_zeros_nan_and_inf(monkeypatch, blo
     with np.errstate(over="ignore"):
         np.testing.assert_array_equal(log_lp_norms(x, p), expected)
         np.testing.assert_array_equal(monte_carlo._log_norms_at(x, (2.0, p))[1], expected)
-        held = logs.copy()
+        taken = np.abs(x)
+        keep = monte_carlo._log_abs_finite(taken)
+        held = taken.copy()
+        for mask in (keep, keep.astype(float)):
+            np.testing.assert_array_equal(
+                monte_carlo._reduce_logs(taken, mask, (p, 2.0), own=False)[0] / p, expected
+            )
+        np.testing.assert_array_equal(taken, held)
+        # -inf for zeros and no mask, as the per-column row pass reduces them
         np.testing.assert_array_equal(
-            monte_carlo._log_norms_at(logs, (p, 2.0), logs_taken=True)[0], expected
+            monte_carlo._reduce_logs(logs.copy(order="K"), None, (2.0, p), own=True)[1] / p, expected
         )
-    np.testing.assert_array_equal(logs, held)
 
 
 @pytest.mark.parametrize(
@@ -261,14 +274,19 @@ def test_log_norms_pinned_to_plain_numpy_with_zeros_nan_and_inf(monkeypatch, blo
      lambda x: x[::-2, ::3]],
 )
 def test_log_abs_matches_plain_log_in_every_memory_order(monkeypatch, layout):
-    # the fix-up for zeros runs in place on flat slices of |values|; a
-    # reshape that copied would lose it
+    # abs and log run on row blocks of values in whatever order they are
+    # laid out in, as diagnostics' per-column pass hands over values.T
     monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", 1000)
     x = layout(_awkward_sample())
     with np.errstate(divide="ignore"):
-        expected = np.log(np.abs(x))
-    got = monte_carlo._log_abs(x)
-    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        logs = np.log(np.abs(x))
+    ps = (1e-6, 1.0, 300.0)
+    with np.errstate(over="ignore"):
+        got = monte_carlo._log_norms_at(x, ps)
+        by_column = monte_carlo._log_norms_at(x.T, ps)
+    for k, p in enumerate(ps):
+        np.testing.assert_array_equal(got[k], _plain_log_norms(logs, p))
+        np.testing.assert_array_equal(by_column[k], _plain_log_norms(logs.T, p))
 
 
 def test_concentration_frequency_matches_exact_binomial():
@@ -366,6 +384,16 @@ def test_curve_sweep_shape_failed_cells_and_determinism():
         seed=3,
     )
     assert again.freq == grid.freq and again.ci_halfwidth == grid.ci_halfwidth
+
+
+@pytest.mark.parametrize("normalization", monte_carlo.NORMALIZATIONS)
+def test_curve_sweep_marks_a_nonpositive_p_failed_under_either_normalization(normalization):
+    # empirical-mu has no law mean to reject p <= 0, so the p check alone
+    # must keep the cell out of the sample
+    grid = curve_sweep(UniformUnit(), p_grid=[-1.0, 1.0], n_grid=[10], M=200,
+                       normalization=normalization)
+    assert [(i, j) for i, j, _ in grid.failed] == [(0, 0)]
+    assert math.isnan(grid.freq[0][0]) and math.isfinite(grid.freq[1][0])
 
 
 @pytest.mark.parametrize("normalization", monte_carlo.NORMALIZATIONS)
