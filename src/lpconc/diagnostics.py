@@ -20,7 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
-from .monte_carlo import _band_count, _log_norms_at, _pooled_log_mu, _reduce_logs
+from .monte_carlo import (
+    _band_count,
+    _log_norms_at,
+    _log_norms_imputed,
+    _pooled_log_mu,
+    _reduce_logs,
+)
 from .seeding import generator
 
 __all__ = [
@@ -83,7 +89,9 @@ class Dataset:
 
     @cached_property
     def constant_mask(self) -> tuple[bool, ...]:
-        return tuple(c == 1 for c in self.unique_counts)
+        # a column is constant when it equals its first row (0.0 == -0.0,
+        # as unique_counts counts them), without unique_counts's sort
+        return tuple(bool(c) for c in (self.values == self.values[0]).all(axis=0))
 
     @property
     def constant_columns(self) -> tuple[str, ...]:
@@ -284,19 +292,25 @@ def mode_shift(data: Dataset, max_unique: int) -> Dataset:
 def _drift(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """KS statistic and exact W1 of two samples from one merged ECDF.
 
-    Both samples are sorted once; their sorted union is the grid, and the
-    gap F - G between the right-continuous empirical CDFs is read on it by
-    searchsorted.  KS is max |F - G|; W1 is the area between the CDFs,
-    sum |F - G| * diff(grid), since both are constant between grid points.
+    Both samples are sorted once and merged by one stable sort into the
+    grid.  The count of x's points at or below a grid point, as
+    searchsorted(side="right") would give it, is the running count of x's
+    points at the end of that point's run of ties; y's is the rest.  KS is
+    max |F - G|; W1 is the area between the CDFs, sum |F - G| * diff(grid),
+    since both are constant between grid points, summed by numpy so that
+    its bits do not depend on BLAS threads.
     """
-    xs = np.sort(x)
-    ys = np.sort(y)
-    grid = np.sort(np.concatenate([xs, ys]), kind="stable")
-    gap = np.abs(
-        np.searchsorted(xs, grid, side="right") / xs.size
-        - np.searchsorted(ys, grid, side="right") / ys.size
-    )
-    return float(np.max(gap)), float(gap[:-1] @ np.diff(grid))
+    m = x.size
+    merged = np.concatenate([x, y])
+    merged[:m].sort()
+    merged[m:].sort()
+    order = np.argsort(merged, kind="stable")
+    grid = merged[order]
+    run_end = np.flatnonzero(np.append(grid[1:] != grid[:-1], True))
+    below_x = np.cumsum(order < m)[run_end]
+    gap_at_end = np.abs(below_x / m - (run_end + 1 - below_x) / y.size)
+    gap = np.repeat(gap_at_end, np.diff(run_end, prepend=-1))
+    return float(gap_at_end.max()), float(np.sum(gap[:-1] * np.diff(grid)))
 
 
 def _ks_pvalue(statistic: float, m: int, n: int) -> float:
@@ -364,6 +378,18 @@ def concentration_curve(
     factor of the estimated typical norm.  Grid points where a moment
     estimate is not representable are flagged and carry a NaN fraction.
     """
+    return _curve(data, p_grid, delta, normalization)
+
+
+def _curve(
+    data: Dataset,
+    p_grid: Sequence[float],
+    delta: float,
+    normalization: str,
+    by_p: np.ndarray | None = None,
+) -> ConcentrationCurve:
+    """concentration_curve; under pooled, from by_p, the rows' log-norms at
+    each p, when given."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if normalization not in NORMALIZATIONS:
@@ -373,7 +399,8 @@ def concentration_curve(
     flagged: list[bool] = []
     # per-column reduces the columns first, then divides each entry by its
     # column's mu_j^(1/p) so that the typical row value is 1
-    by_p = _log_norms_at(data.values.T if per_column else data.values, p_grid)
+    if by_p is None:
+        by_p = _log_norms_at(data.values.T if per_column else data.values, p_grid)
     if per_column:
         # -inf for zeros: a finite stand-in shifted by its column's scale
         # could rise above a real log of its row
@@ -450,8 +477,12 @@ def perturb_report(
         statistics.append(stat)
         pvalues.append(_ks_pvalue(stat, data.M, data.M))
         total += w1
-    original_curve = concentration_curve(data, p_grid, delta, normalization)
-    perturbed_curve = concentration_curve(perturbed, p_grid, delta, normalization)
+    # pooled, both copies are reduced from one set of exponentials
+    both = (None, None)
+    if normalization == "pooled":
+        both = _log_norms_imputed(data.values, perturbed.values, p_grid)
+    original_curve = _curve(data, p_grid, delta, normalization, both[0])
+    perturbed_curve = _curve(perturbed, p_grid, delta, normalization, both[1])
     curves = tuple(
         CurveRow(p, fo, fp)
         for p, fo, fp in zip(original_curve.p_grid, original_curve.fraction, perturbed_curve.fraction)

@@ -76,10 +76,15 @@ def _draw_rows(kind: EmbeddingKind, rng: np.random.Generator, rows: int) -> np.n
         norms = np.sqrt(np.sum(g * g, axis=1, keepdims=True))
         return g / norms
     if kind.name == "sparse":
-        # both arrays are always drawn so stream consumption is fixed
-        mask = rng.random(size=(rows, kind.dim)) < 0.002
-        values = rng.exponential(1.0 / 1.5, size=(rows, kind.dim))
-        return np.where(mask, values, 0.0)
+        # both arrays are always drawn so stream consumption is fixed; the
+        # exponentials, scale times standard ones as rng.exponential draws
+        # them, reuse the uniforms' memory and are masked to +0.0 in place
+        values = rng.random(size=(rows, kind.dim))
+        mask = values < 0.002
+        rng.standard_exponential(out=values)
+        values *= 1.0 / 1.5
+        values *= mask
+        return values
     if kind.name == "relu":
         return np.maximum(rng.normal(0.0, 0.3, size=(rows, kind.dim)), 0.0)
     if kind.name == "binary":
@@ -95,7 +100,7 @@ def generate(kind: EmbeddingKind, M: int, seed: int) -> np.ndarray:
         _draw_rows(kind, generator(seed, index), rows)
         for index, _, rows in _chunk_plan(M, kind.dim)
     ]
-    return np.vstack(parts)
+    return parts[0] if len(parts) == 1 else np.vstack(parts)
 
 
 @dataclass(frozen=True)

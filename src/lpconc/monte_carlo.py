@@ -15,10 +15,11 @@ band_frequency_at holds log|entry| of up to _HELD_ENTRIES entries (256 MiB)
 for a p bisection, drawing chunks past that again at each p.  Taken logs
 have one form: zeros are log of the smallest subnormal, kept off numpy's
 slow log and exp path, with a mask of the nonzero entries that gives the
-bits of log 0 = -inf; the mask is 0/1 float where a block is reduced at
-once (it multiplies faster), boolean where a bisection holds it (an eighth
-of the memory).  The empirical mean of |entry|^p is pooled from the row
-norms.
+bits of log 0 = -inf; the mask is boolean where a bisection holds it (an
+eighth of the memory) and 0/1 float while a block is reduced (it
+multiplies faster).  Each block's row maxima are taken once for all its p,
+and a block of few nonzeros (sparse or binary rows) is reduced over those
+alone.  The empirical mean of |entry|^p is pooled from the row norms.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ _HELD_ENTRIES = 1 << 25
 # a zero entry's taken log is log(_TINY), the log of the smallest subnormal,
 # no larger than the log of any positive float
 _TINY = 5e-324
+# a block of rows whose share of nonzero entries is below this is reduced
+# over its nonzeros only (see _reduce_nonzeros)
+_SPARSE_SHARE = 1 / 8
 
 _WILSON_Z = 1.959963984540054
 
@@ -72,17 +76,26 @@ DEFAULT_N_GRID = (10, 30, 100, 300, 1000, 3000)
 NORMALIZATIONS = ("analytic-mu", "empirical-mu")
 
 
-def _row_logsumexp(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, overwriting a.
+def _row_logsumexp(
+    a: np.ndarray, keep: np.ndarray | None = None, shift: np.ndarray | None = None
+) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, overwriting a and shift.
 
-    Each row is shifted by its maximum (0 for a row of -inf), so exp never
-    overflows and the largest term is exactly 1.  Where keep, a 0/1 float or
-    boolean mask, is 0, a holds a zero entry's finite stand-in for -inf: it
-    is set to 0 before exp and its 1 multiplied away after, so it adds
-    exactly +0.0, as exp(-inf) would, without numpy's slow path.  Callers
-    pass a temporary they own.
+    Each row is shifted by shift, its maximum of a with keepdims (taken here
+    when not given), with 0 for a row whose maximum is not finite, so exp
+    never overflows and the largest term is exactly 1.  Where keep, a 0/1
+    float or boolean mask, is 0, a holds a zero entry's finite stand-in for
+    -inf: it is set to 0 before exp and its 1 multiplied away after, so it
+    adds exactly +0.0, as exp(-inf) would, without numpy's slow path.
+    Callers pass temporaries they own.
     """
-    shift = a.max(axis=-1, keepdims=True)
+    if shift is None:
+        shift = a.max(axis=-1, keepdims=True)
+    return _log_sum(_shifted_exp(a, shift, keep), shift)
+
+
+def _shifted_exp(a: np.ndarray, shift: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """The terms of _row_logsumexp, exp(a - shift) masked by keep, in a."""
     shift[~np.isfinite(shift)] = 0.0
     a -= shift
     if keep is not None:
@@ -90,8 +103,12 @@ def _row_logsumexp(a: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     np.exp(a, out=a)
     if keep is not None:
         a *= keep
+    return a
+
+
+def _log_sum(terms: np.ndarray, shift: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return np.log(a.sum(axis=-1)) + shift[..., 0]
+        return np.log(terms.sum(axis=-1)) + shift[..., 0]
 
 
 def _log_abs_finite(a: np.ndarray) -> np.ndarray | None:
@@ -111,27 +128,67 @@ def _log_abs_finite(a: np.ndarray) -> np.ndarray | None:
     return np.logical_not(zero, out=zero)
 
 
+def _stand_in_safe(p: float) -> bool:
+    """Whether a zero's stand-in, scaled by p, stays a finite distance from
+    any row maximum, so that keep can mask it (see _reduce_logs)."""
+    return math.isfinite(2.0 * math.log(_TINY) * p)
+
+
 def _reduce_logs(
-    logs: np.ndarray, keep: np.ndarray | None, ps: Sequence[float], own: bool
+    logs: np.ndarray,
+    keep: np.ndarray | None,
+    ps: Sequence[float],
+    own: bool,
+    top: np.ndarray | None = None,
 ) -> np.ndarray:
     """p * log_lp_norms of a block of rows at each p of ps, from its taken
-    logs (see _log_abs_finite) and keep, their mask of nonzero entries, or
-    from logs with -inf for zeros and keep None.  With own, logs are scaled
-    in place at the last p.  Zeros stay off numpy's slow log/exp path (see
-    _row_logsumexp) unless p is so large that their stand-in's distance to
-    a row maximum could overflow."""
+    logs (see _log_abs_finite) and keep, their boolean mask of nonzero
+    entries, or from logs with -inf for zeros and keep None.  With own, logs
+    are scaled in place at the last p.  top, each row's maximum of logs with
+    keepdims, is taken here when not given; row r is shifted by p * top[r]
+    at every p, the bits of its maximum at p, since rounding is monotone for
+    p > 0.  Zeros stay off numpy's slow log/exp path (see _row_logsumexp)
+    unless p is so large that their stand-in's distance to a row maximum
+    could overflow; a block of few nonzeros is reduced over those alone."""
+    if keep is not None:
+        if np.count_nonzero(keep) < _SPARSE_SHARE * keep.size:
+            return _reduce_nonzeros(logs, keep, ps)
+        keep = keep.astype(float)  # multiplies faster than a boolean
+    if top is None:
+        top = logs.max(axis=-1, keepdims=True)
     out = np.empty((len(ps), logs.shape[0]))
     for k, p in enumerate(ps):
-        if keep is None or math.isfinite(2.0 * math.log(_TINY) * p):
+        if keep is None or _stand_in_safe(p):
             scaled = np.multiply(logs, p, out=logs if own and k == len(ps) - 1 else None)
-            out[k] = _row_logsumexp(scaled, keep)
+            out[k] = _row_logsumexp(scaled, keep, np.multiply(top, p))
         else:
             # past p of about 1e305 the stand-in's scaled gap to a row
             # maximum can overflow, and -inf * 0 is NaN: take -inf back
             with np.errstate(divide="ignore"):
                 scaled = logs / keep  # stand-in / 0 = -inf
             scaled *= p
-            out[k] = _row_logsumexp(scaled)
+            out[k] = _row_logsumexp(scaled, None, np.multiply(top, p))
+    return out
+
+
+def _reduce_nonzeros(logs: np.ndarray, keep: np.ndarray, ps: Sequence[float]) -> np.ndarray:
+    """_reduce_logs over the nonzero entries alone, gathered row by row into
+    one array: the same terms, summed in another order, so a row moves at
+    most at rounding, and not at all when its terms are equal (binary or
+    two-point rows) or at most two.  A row without one is -inf."""
+    counts = np.count_nonzero(keep, axis=-1)
+    filled = counts > 0
+    counts = counts[filled]
+    starts = np.cumsum(counts) - counts
+    logs = logs[keep]
+    top = np.maximum.reduceat(logs, starts)
+    out = np.full((len(ps), keep.shape[0]), -math.inf)
+    for k, p in enumerate(ps):
+        shift = np.multiply(top, p)
+        shift[~np.isfinite(shift)] = 0.0
+        terms = np.exp(np.multiply(logs, p) - np.repeat(shift, counts))
+        with np.errstate(divide="ignore"):
+            out[k, filled] = np.log(np.add.reduceat(terms, starts)) + shift
     return out
 
 
@@ -152,9 +209,57 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     for start in range(0, rows.shape[0], step):
         logs = np.abs(rows[start : start + step])
         keep = _log_abs_finite(logs)
-        keep = None if keep is None else keep.astype(float)
         out[:, start : start + step] = _reduce_logs(logs, keep, ps, own=True)
     return (out / np.array(ps, dtype=float)[:, None]).reshape(len(ps), *values.shape[:-1])
+
+
+def _log_norms_imputed(
+    values: np.ndarray, imputed: np.ndarray, ps: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(_log_norms_at(values, ps), _log_norms_at(imputed, ps)) bit for bit,
+    where imputed is the finite rows values with some entries set to 0.
+
+    Where a row's maximum is left in place, both copies share the shift and
+    imputed's terms are values' times imputed's 0/1 mask (e * 1 == e,
+    e * 0 == +0.0), so one exp pass serves both; rows whose maximum was
+    zeroed are reduced again with their own, as the block's other rows are.
+    Blocks either copy reduces over its nonzeros, or with a p past
+    _stand_in_safe, are reduced twice.
+    """
+    if not all(p > 0 for p in ps):
+        raise ValueError("p must be positive")
+    out = np.empty((2, len(ps), values.shape[0]))
+    step = max(1, _BLOCK_ENTRIES // values.shape[1])
+    for start in range(0, values.shape[0], step):
+        rows = slice(start, start + step)
+        logs = np.abs(values[rows])
+        keep = _log_abs_finite(logs)
+        again = np.abs(imputed[rows])
+        kept = _log_abs_finite(again)
+        if kept is None:  # nothing zeroed, nothing zero
+            out[:, :, rows] = _reduce_logs(logs, keep, ps, own=True)
+            continue
+        if np.count_nonzero(kept) < _SPARSE_SHARE * kept.size or not all(map(_stand_in_safe, ps)):
+            out[0, :, rows] = _reduce_logs(logs, keep, ps, own=True)
+            out[1, :, rows] = _reduce_logs(again, kept, ps, own=True)
+            continue
+        top = logs.max(axis=-1, keepdims=True)
+        top_again = again.max(axis=-1, keepdims=True)
+        moved = np.flatnonzero(top_again != top)
+        keep = None if keep is None else keep.astype(float)
+        kept = kept.astype(float)
+        # the zeroed maxima's rows take the dense path, as in their block
+        again, kept_moved, top_again = again[moved], kept[moved], top_again[moved]
+        for k, p in enumerate(ps):
+            shift = np.multiply(top, p)
+            scaled = np.multiply(logs, p, out=logs if k == len(ps) - 1 else None)
+            terms = _shifted_exp(scaled, shift, keep)
+            out[0, k, rows] = _log_sum(terms, shift)
+            terms *= kept
+            out[1, k, rows] = _log_sum(terms, shift)
+            out[1, k, start + moved] = _row_logsumexp(again * p, kept_moved, top_again * p)
+    scale = np.array(ps, dtype=float)[:, None]
+    return out[0] / scale, out[1] / scale
 
 
 def log_lp_norms(values: np.ndarray, p: float) -> np.ndarray:
@@ -392,8 +497,8 @@ def band_frequency_at(
 
     The chunks that fit in _HELD_ENTRIES are held in row blocks of about
     _BLOCK_ENTRIES entries, each as its taken logs with their boolean mask
-    of nonzero entries (see _log_abs_finite), taken once;
-    each call only scales and reduces the blocks at its p, one task per
+    of nonzero entries (see _log_abs_finite) and its rows' maxima, taken
+    once; each call only scales and reduces the blocks at its p, one task per
     block so that a single held chunk still fills the pool, and draws the
     later chunks again.  Every map runs on pool when one is given (its
     owner shuts it down), else on a pool opened for that map.
@@ -406,9 +511,13 @@ def band_frequency_at(
         index, _, rows = chunk
         return dist.draw(generator(seed, index), (rows, n))
 
-    def hold(chunk: tuple[int, int, int]) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    def hold(chunk: tuple[int, int, int]) -> list[tuple]:
         a = np.abs(draw(chunk))
-        return [(b, _log_abs_finite(b)) for b in np.split(a, range(step, len(a), step))]
+        held = []
+        for logs in np.split(a, range(step, len(a), step)):
+            keep = _log_abs_finite(logs)
+            held.append((logs, keep, logs.max(axis=-1, keepdims=True)))
+        return held
 
     held = [c for c in plan if (c[1] + c[2]) * n <= _HELD_ENTRIES]
     blocks = [block for part in _map_tasks(hold, held, workers, pool=pool) for block in part]
@@ -419,8 +528,8 @@ def band_frequency_at(
 
         def one(k: int) -> np.ndarray:
             if k < len(blocks):
-                logs, keep = blocks[k]
-                return _reduce_logs(logs, keep, (p,), own=False)[0] / p
+                logs, keep, top = blocks[k]
+                return _reduce_logs(logs, keep, (p,), own=False, top=top)[0] / p
             return _log_norms_at(draw(redrawn[k - len(blocks)]), (p,))[0]
 
         tasks = range(len(blocks) + len(redrawn))

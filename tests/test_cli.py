@@ -380,7 +380,7 @@ def _write_seeded_csv(tmp_path):
 # path), as written when every cell was parsed by the per-cell Python loop
 TABLE_DIGESTS = {
     "diagnose": "80f448e6a2fc011c5fe0a502e59d4cce504121c4bdbbee52e63e94a7550839de",
-    "perturb": "b016164940ec8a2474b52952236e21132382f8df53ee0116cd3bd9a3af52036d",
+    "perturb": "21c24a03bfafacb36b0871b1f1488880995c289b4772bb6e5df61d9d688f43e6",
 }
 
 

@@ -8,6 +8,9 @@ CDF-area computation.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from scipy.special import kolmogorov
 from scipy.stats import ks_2samp, wasserstein_distance
 
-from lpconc import diagnostics
+from lpconc import diagnostics, monte_carlo
 from lpconc.cli import _record, run
 from lpconc.diagnostics import (
     Dataset,
@@ -211,6 +214,23 @@ def test_dataset_unique_counts_and_constant_columns():
     assert data.column("v").tolist() == [0.1, 0.2, 0.3]
 
 
+def test_constant_mask_matches_unique_counts():
+    # compared with the first row, without a sort; 0.0 and -0.0 are one
+    # value to both, and a one-row matrix is constant in every column
+    rng = np.random.default_rng(4)
+    values = np.column_stack([
+        rng.normal(size=30),
+        np.full(30, 2.5),
+        np.where(rng.random(30) < 0.5, 0.0, -0.0),
+        rng.integers(0, 2, 30).astype(float),
+        np.r_[np.full(29, 1.0), 1.0 + 2**-52],
+    ])
+    for matrix in (values, values[:1], values[3:5]):
+        data = Dataset(matrix, tuple("abcde"))
+        assert data.constant_mask == tuple(c == 1 for c in data.unique_counts)
+    assert Dataset(values, tuple("abcde")).constant_mask == (False, True, True, False, False)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(np.array([1.0, 2.0]), ("a",))
@@ -361,6 +381,31 @@ def test_wasserstein_matches_scipy_with_ties_at_zero(size_x, size_y, seed):
         assert ks_two_sample(x, y)[0] == _brute_ks(x, y)
 
 
+def _drift_by_searchsorted(x, y):
+    """KS and W1 with each ECDF read on the merged grid by searchsorted."""
+    xs, ys = np.sort(x), np.sort(y)
+    grid = np.sort(np.concatenate([xs, ys]), kind="stable")
+    gap = np.abs(
+        np.searchsorted(xs, grid, side="right") / xs.size
+        - np.searchsorted(ys, grid, side="right") / ys.size
+    )
+    return float(np.max(gap)), float(np.sum(gap[:-1] * np.diff(grid)))
+
+
+@pytest.mark.parametrize("size_x,size_y,seed", [(1, 25, 14), (40, 1000, 13), (301, 97, 12)])
+def test_drift_merge_matches_searchsorted_bit_for_bit(size_x, size_y, seed):
+    # the counts come from one stable merge instead of two searchsorted
+    # calls; they are integers, so KS and W1 keep their bits, with ties,
+    # zeros of both signs and a point shared by both samples
+    x, y = _zero_imputed_pair(size_x, size_y, seed)
+    rng = np.random.default_rng(seed)
+    y[rng.random(size_y) < 0.5] = -0.0
+    tied = np.round(x * 2.0) / 2.0
+    tied[::3] = -0.0
+    for a, b in ((x, y), (y, x), (tied, y), (y, tied), (tied, np.round(y))):
+        assert diagnostics._drift(a, b) == _drift_by_searchsorted(a, b)
+
+
 def test_wasserstein_hand_case_shift_and_errors():
     # CDF area between {0,1} and {0,1,2}: steps of 1/6 height over [0,1]
     # and [1,2] plus 1/3 over none -> total 1/2
@@ -493,3 +538,82 @@ def test_perturb_report_is_deterministic():
     one = perturb_report(data, gap_prob=0.1, seed=7, p_grid=[1.0])
     two = perturb_report(data, gap_prob=0.1, seed=7, p_grid=[1.0])
     assert one == two
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.05, 0.3, 1.0])
+def test_perturb_curves_equal_two_separate_curves(monkeypatch, gap):
+    # pooled, both copies are reduced from one set of exponentials; each
+    # must still be the separate reduction's bits, rows whose maximum the
+    # imputation zeroed and blocks it left without a zero included
+    monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", 600)
+    rng = np.random.default_rng(31)
+    values = rng.normal(size=(400, 12))
+    values[rng.random(values.shape) < 0.02] = 0.0
+    values[7] = 0.0
+    values[rng.random(400) < 0.5, 0] = 50.0  # the row maximum, zeroed at rate gap
+    data = Dataset(values, tuple("abcdefghijkl"))
+    ps = (1e-3, 0.3, 1.0, 2.0, 9.0)
+    perturbed = zero_impute(data, gap, seed=2)
+    kept = perturbed.values != 0.0
+    if 0.0 < gap < 1.0:
+        assert (kept[:, 0] != (values[:, 0] != 0.0)).any()  # some maxima were zeroed
+    both = monte_carlo._log_norms_imputed(data.values, perturbed.values, ps)
+    np.testing.assert_array_equal(both[0], monte_carlo._log_norms_at(data.values, ps))
+    np.testing.assert_array_equal(both[1], monte_carlo._log_norms_at(perturbed.values, ps))
+    report = perturb_report(data, gap, seed=2, p_grid=ps)
+    original = concentration_curve(data, ps)
+    imputed = concentration_curve(perturbed, ps)
+    assert [row.frac_original for row in report.curves] == list(original.fraction)
+    assert [row.frac_perturbed for row in report.curves] == list(imputed.fraction)
+
+
+@pytest.mark.parametrize("share", [0.04, 0.5])
+def test_imputed_norms_where_a_copy_is_sparse_or_p_is_huge(share):
+    # blocks that either copy reduces over its nonzeros, and p past the
+    # stand-in's safe range, take the two separate reductions
+    rng = np.random.default_rng(32)
+    values = np.where(rng.random((200, 40)) < share, rng.normal(size=(200, 40)), 0.0)
+    imputed = np.where(rng.random(values.shape) < 0.3, 0.0, values)
+    for ps in ((0.5, 2.0), (1.0, 1e306)):
+        with np.errstate(over="ignore"):
+            both = monte_carlo._log_norms_imputed(values, imputed, ps)
+            np.testing.assert_array_equal(both[0], monte_carlo._log_norms_at(values, ps))
+            np.testing.assert_array_equal(both[1], monte_carlo._log_norms_at(imputed, ps))
+
+
+def test_imputed_norms_where_only_the_zeroed_maxima_rows_are_sparse():
+    # rows whose maximum was zeroed are reduced again; when they are few in
+    # nonzeros but their block is not, they must still take the block's
+    # dense path, whose sums run in another order than the nonzero path's
+    rng = np.random.default_rng(33)
+    values = rng.exponential(size=(300, 40))
+    values[150:, 5:] = 0.0
+    values[150:, 0] = 50.0
+    imputed = values.copy()
+    imputed[150:, 0] = 0.0
+    assert np.count_nonzero(imputed[150:]) < monte_carlo._SPARSE_SHARE * imputed[150:].size
+    ps = tuple(np.geomspace(0.01, 10.0, 9))
+    both = monte_carlo._log_norms_imputed(values, imputed, ps)
+    np.testing.assert_array_equal(both[0], monte_carlo._log_norms_at(values, ps))
+    np.testing.assert_array_equal(both[1], monte_carlo._log_norms_at(imputed, ps))
+
+
+def test_wasserstein_total_does_not_depend_on_blas_threads():
+    # W1 was a BLAS dot product, which OpenBLAS splits across threads past
+    # 10,000 entries and so sums in another order; numpy's sum does not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diagnostics.__file__)))
+    code = (
+        "import numpy as np\n"
+        "from lpconc.diagnostics import Dataset, perturb_report\n"
+        "for seed in range(4):\n"
+        "    data = Dataset(np.random.default_rng(seed).normal(size=(12000, 3)), tuple('abc'))\n"
+        "    print(repr(perturb_report(data, 0.1, 3, p_grid=(1.0,)).wasserstein_total))\n"
+    )
+    totals = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        totals.add(done.stdout.strip())
+    assert len(totals) == 1, totals
+

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lpconc import monte_carlo
 from lpconc.cli import _record
 from lpconc.embedding_lab import (
     ALL_KINDS,
@@ -17,6 +18,7 @@ from lpconc.embedding_lab import (
     generate,
     kind_by_name,
 )
+from lpconc.seeding import generator
 
 
 def test_kind_registry():
@@ -69,6 +71,21 @@ def test_sparse_population_density_and_sign():
     assert np.all(batch[nz] > 0.0)
     # exponential with rate 1.5 on the nonzero entries
     assert batch[nz].mean() == pytest.approx(1.0 / 1.5, rel=0.1)
+
+
+def test_sparse_population_keeps_its_stream(monkeypatch):
+    # the exponentials reuse the uniforms' memory; every chunk must still
+    # be the masked rng.exponential draw, bit for bit, at +0.0 off the mask
+    monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 7 * SPARSE.dim)
+    batch = generate(SPARSE, 17, seed=3)
+    parts = []
+    for index, _, rows in monte_carlo._chunk_plan(17, SPARSE.dim):
+        rng = generator(3, index)
+        mask = rng.random(size=(rows, SPARSE.dim)) < 0.002
+        parts.append(np.where(mask, rng.exponential(1.0 / 1.5, size=(rows, SPARSE.dim)), 0.0))
+    expected = np.vstack(parts)
+    assert len(parts) == 3
+    assert np.array_equal(batch.view(np.int64), expected.view(np.int64))
 
 
 def test_sparse_pair_overlap_is_rare():

@@ -289,6 +289,101 @@ def test_log_abs_matches_plain_log_in_every_memory_order(monkeypatch, layout):
         np.testing.assert_array_equal(by_column[k], _plain_log_norms(logs.T, p))
 
 
+_awkward_entry = st.one_of(
+    st.just(0.0),
+    st.just(math.inf),
+    st.just(-math.inf),
+    st.just(math.nan),
+    st.just(5e-324),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, -1e-300),
+)
+_blocks = st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.lists(_awkward_entry, min_size=n, max_size=n), min_size=1, max_size=8)
+)
+
+
+@_property_settings
+@given(_blocks, st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=4))
+def test_hoisted_row_maximum_matches_the_per_p_maximum(rows, ps):
+    # rounding is monotone for p > 0, so p times a row's maximum log is the
+    # maximum of the row's scaled logs: shifting every p by it must give
+    # the per-p maximum's bits, on zeros, +-inf, NaN and all-zero rows
+    x = np.array(rows + [[0.0] * len(rows[0])])
+    taken = np.abs(x)
+    keep = monte_carlo._log_abs_finite(taken)
+    mask = None if keep is None else keep.astype(float)
+    top = taken.max(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(x))  # -inf for zeros, no mask
+    per_p = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in ps:
+            expected = monte_carlo._row_logsumexp(taken * p, mask)
+            np.testing.assert_array_equal(
+                monte_carlo._row_logsumexp(taken * p, mask, top * p), expected
+            )
+            np.testing.assert_array_equal(monte_carlo._row_logsumexp(logs * p), expected)
+            per_p.append(expected)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monte_carlo, "_SPARSE_SHARE", 0.0)  # dense at any share of zeros
+            np.testing.assert_array_equal(
+                monte_carlo._reduce_logs(taken, keep, ps, own=False), per_p
+            )
+            np.testing.assert_array_equal(
+                monte_carlo._reduce_logs(taken, keep, ps, own=False, top=top), per_p
+            )
+        np.testing.assert_array_equal(monte_carlo._reduce_logs(logs, None, ps, own=True), per_p)
+
+
+def _sparse_sample(rng, rows, n, nonzeros, magnitudes):
+    """rows x n zeros with nonzeros(r) entries of row r drawn by magnitudes."""
+    x = np.zeros((rows, n))
+    for r in range(rows):
+        cols = rng.choice(n, size=nonzeros(r), replace=False)
+        x[r, cols] = rng.choice([-1.0, 1.0], size=cols.size) * magnitudes(cols.size)
+    return x
+
+
+@pytest.mark.parametrize("p", KERNEL_P + (1e306,))
+def test_sparse_blocks_pinned_to_plain_numpy(monkeypatch, p):
+    # a block of few nonzeros is reduced over them alone, in another order;
+    # a row of at most two terms, or of equal terms, sums them exactly as
+    # plain numpy does, so its bits must be plain numpy's
+    monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", 3000)
+    rng = np.random.default_rng(21)
+    wide = _sparse_sample(rng, 40, 300, lambda r: r % 3, lambda k: 10.0 ** rng.uniform(-300, 300, k))
+    wide[1, 7], wide[2, 9], wide[3, 4], wide[3, 5] = np.nan, np.inf, -np.inf, np.nan
+    wide[5, 0] = 5e-324
+    equal = _sparse_sample(rng, 40, 300, lambda r: 1 + r, lambda k: np.full(k, 2.5))
+    calls = []
+    reduce_nonzeros = monte_carlo._reduce_nonzeros
+    monkeypatch.setattr(
+        monte_carlo, "_reduce_nonzeros", lambda *a: calls.append(1) or reduce_nonzeros(*a)
+    )
+    for x in (wide, equal):
+        assert np.count_nonzero(x) < monte_carlo._SPARSE_SHARE * x.size
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(x))
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(log_lp_norms(x, p), _plain_log_norms(logs, p))
+    assert len(calls) == 2 * 4  # four blocks of ten rows each
+
+
+@pytest.mark.parametrize("p", KERNEL_P)
+def test_sparse_blocks_move_only_at_rounding(p):
+    # rows of many unequal terms sum them in another order than the dense
+    # path: the results agree to rounding, with the dense path's zeros
+    rng = np.random.default_rng(22)
+    x = _sparse_sample(rng, 60, 2000, lambda r: r % 40, lambda k: rng.exponential(1.0, k))
+    with np.errstate(divide="ignore"):
+        expected = _plain_log_norms(np.log(np.abs(x)), p)
+    got = log_lp_norms(x, p)
+    assert np.array_equal(np.isinf(got), np.isinf(expected))
+    finite = np.isfinite(expected)
+    np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-14, atol=1e-300)
+
+
 def test_concentration_frequency_matches_exact_binomial():
     n, a, p, delta, M = 100, 0.5, 0.5, 0.2, 20_000
     exact = _two_point_band_probability(n, a, p, delta)
