@@ -54,6 +54,13 @@ def _ints(text: str) -> tuple[int, ...]:
     return values
 
 
+def _workers(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _resolve(args: argparse.Namespace) -> None:
     """Replace the law spec, kind list and missing worker count by what they
     resolve to, in place."""
@@ -62,9 +69,11 @@ def _resolve(args: argparse.Namespace) -> None:
     if "kinds" in args:
         names = args.kinds.split(",")
         args.kinds = tuple(embedding_lab.kind_by_name(name.strip()) for name in names)
-    if "workers" in args and args.workers is None:
-        raw = os.environ.get(WORKERS_ENV)
-        args.workers = int(raw) if raw else None
+    if "workers" in args and args.workers is None and os.environ.get(WORKERS_ENV):
+        try:
+            args.workers = _workers(os.environ[WORKERS_ENV])
+        except (ValueError, argparse.ArgumentTypeError) as error:
+            _parser().error(f"${WORKERS_ENV}: {error}")  # a usage error: exit 2
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -348,7 +357,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
 def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_workers,
         default=None,
         help=f"parallel worker cap; default ${WORKERS_ENV} or all cores; results do not depend on it",
     )

@@ -20,13 +20,17 @@ forms names its family in ``closed_family``.  No kernel probes its integrand:
   composite Gauss-Legendre rule in z = log x, laid out from the peak of the
   log-integrand (``_half_normal_tilted``),
 * zero-inflated laws mix their base law's kernel with the atom at zero.
+
+Each law samples through one block filler, ``_filler(rng, total)``, whose
+blocks hold the bits of one whole draw; ``draw`` is a single fill.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -282,6 +286,36 @@ def _with_atom_at_zero(
     return k, q * m_base / (1.0 - a), (q * v_base + q * q_atom * m_base**2) / (1.0 - a) ** 2
 
 
+def _split(rng: np.random.Generator, total: int) -> np.random.Generator:
+    """A copy of rng for a first pass that reads one 64-bit word for each of
+    total entries; rng itself skips those words, so a second pass reads from
+    it what it would read after the first, and rng ends where the two passes
+    in turn would leave it.  rng is a Philox stream (seeding.generator)."""
+    first = copy.deepcopy(rng)
+    bits = rng.bit_generator
+    before = bits.state
+    left = min(total, 4 - before["buffer_pos"])  # words left in Philox's 4-word buffer
+    bits.random_raw(left)
+    if total > left:
+        # advance() empties that buffer and drops a buffered 32-bit
+        # half-word, which reading 64-bit words keeps
+        bits.advance((total - left) // 4)
+        bits.random_raw((total - left) % 4)
+        after = bits.state
+        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+        bits.state = after
+    return first
+
+
+def _fill_uniform(rng: np.random.Generator, out: np.ndarray, b: float) -> np.ndarray:
+    """rng.uniform(-b, b, out.shape) written into out, bit for bit: numpy
+    forms -b + 2b * u."""
+    rng.random(out=out)
+    out *= 2.0 * b
+    out -= b
+    return out
+
+
 class Distribution:
     """Base class for component laws (the |x| view)."""
 
@@ -366,8 +400,18 @@ class Distribution:
         return self.cdf_abs(x)
 
     # --- sampling ----------------------------------------------------------
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+    def _filler(self, rng: np.random.Generator, total: int) -> Callable[[np.ndarray], None]:
+        """fill(out), which writes the next out.size entries of draw(rng,
+        total) into out, a C-contiguous float array: blocks filled in turn
+        hold that draw's bits, and no array of total entries is made.  A law
+        that reads rng in two passes takes the first from a copy (_split)."""
         raise NotImplementedError
+
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        """An array of that size drawn from rng, one fill of _filler."""
+        out = np.empty(size)
+        self._filler(rng, out.size)(out)
+        return out
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -405,8 +449,8 @@ class UniformSymmetric(Distribution):
     def cdf_abs(self, x: float) -> float:
         return float(np.clip(x / self.b, 0.0, 1.0))
 
-    def draw(self, rng, size):
-        return rng.uniform(-self.b, self.b, size)
+    def _filler(self, rng, total):
+        return lambda out: _fill_uniform(rng, out, self.b)
 
     def spec_string(self) -> str:
         return f"uniform:b={_spec_float(self.b)}"
@@ -418,8 +462,8 @@ class UniformUnit(UniformSymmetric):
 
     b: float = field(default=1.0, init=False)
 
-    def draw(self, rng, size):
-        return rng.random(size)
+    def _filler(self, rng, total):
+        return lambda out: rng.random(out=out)
 
     def spec_string(self) -> str:
         return "uniform01"
@@ -450,8 +494,14 @@ class DiffUniform(Distribution):
         x = float(np.clip(x, 0.0, 2.0))
         return x - x * x / 4.0
 
-    def draw(self, rng, size):
-        return rng.uniform(-1.0, 1.0, size) - rng.uniform(-1.0, 1.0, size)
+    def _filler(self, rng, total):
+        first = _split(rng, total)
+
+        def fill(out):
+            _fill_uniform(first, out, 1.0)
+            out -= _fill_uniform(rng, np.empty(out.shape), 1.0)
+
+        return fill
 
     def spec_string(self) -> str:
         return "diffuniform"
@@ -512,8 +562,8 @@ class StandardNormal(Distribution):
             return 0.0
         return math.erf(x / math.sqrt(2.0))
 
-    def draw(self, rng, size):
-        return rng.standard_normal(size)
+    def _filler(self, rng, total):
+        return lambda out: rng.standard_normal(out=out)
 
     def spec_string(self) -> str:
         return "normal"
@@ -567,8 +617,12 @@ class TwoPoint(Distribution):
             return 0.0
         return self.a if x <= self.r else 1.0
 
-    def draw(self, rng, size):
-        return np.where(rng.random(size) < self.a, 0.0, self.r)
+    def _filler(self, rng, total):
+        def fill(out):
+            rng.random(out=out)
+            out[...] = np.where(out < self.a, 0.0, self.r)
+
+        return fill
 
     def spec_string(self) -> str:
         return f"twopoint:a={_spec_float(self.a)},r={_spec_float(self.r)}"
@@ -577,10 +631,15 @@ class TwoPoint(Distribution):
 class ThreePointSymmetric(TwoPoint):
     """P(x=0) = a, P(x=r) = P(x=-r) = (1-a)/2; |x| is TwoPoint(a, r)'s law."""
 
-    def draw(self, rng, size):
-        u = rng.random(size)
-        signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-        return np.where(u < self.a, 0.0, self.r * signs)
+    def _filler(self, rng, total):
+        values = _split(rng, total)
+
+        def fill(out):
+            values.random(out=out)
+            signed = np.where(rng.random(out.shape) < 0.5, -self.r, self.r)
+            out[...] = np.where(out < self.a, 0.0, signed)
+
+        return fill
 
     def spec_string(self) -> str:
         return f"threepoint:a={_spec_float(self.a)},r={_spec_float(self.r)}"
@@ -638,14 +697,19 @@ class ZeroInflated(Distribution):
             return 0.0
         return self.a + (1.0 - self.a) * self.base.cdf_abs_left(x)
 
-    def draw(self, rng, size):
-        keep = rng.random(size) >= self.a
-        vals = self.base.draw(rng, size)
-        # arithmetic, not a masked copy, which branches on every entry;
-        # adding 0.0 turns the -0.0 of a negative draw times 0 into +0.0
-        vals *= keep
-        vals += 0.0
-        return vals
+    def _filler(self, rng, total):
+        mask = _split(rng, total)
+        base = self.base._filler(rng, total)
+
+        def fill(out):
+            keep = mask.random(out.shape) >= self.a
+            base(out)
+            # arithmetic, not a masked copy, which branches on every entry;
+            # adding 0.0 turns the -0.0 of a negative draw times 0 into +0.0
+            out *= keep
+            out += 0.0
+
+        return fill
 
     def spec_string(self) -> str:
         return f"zeroinflated:a={_spec_float(self.a)},base={self.base.spec_string()}"
@@ -709,9 +773,11 @@ class Empirical(Distribution):
     def cdf_abs_left(self, x: float) -> float:
         return float(np.searchsorted(self._abs_sorted, x, side="left")) / self._abs_sorted.size
 
-    def draw(self, rng, size):
-        idx = rng.integers(0, self.values.size, size)
-        return self.values[idx]
+    def _filler(self, rng, total):
+        def fill(out):
+            np.take(self.values, rng.integers(0, self.values.size, out.shape), out=out)
+
+        return fill
 
     def spec_string(self) -> str:
         return self.label or f"empirical:n={self.values.size}"

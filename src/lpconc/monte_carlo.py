@@ -1,11 +1,16 @@
 """Seeded, parallel Monte Carlo for concentration and contrast frequencies.
 
 Work is split into fixed-size chunks of rows; chunk i draws from an
-independent counter-based stream keyed by (seed, i).  Each chunk returns the
-log l_p norms of its rows, and the chunks are concatenated in chunk-index
-order before anything is counted or pooled, so results do not depend on
-worker count or scheduling: identical inputs and seed give bit-identical
-output.  One thread pool serves a whole sweep: curve_sweep hands it every
+independent counter-based stream keyed by (seed, i).  A chunk is drawn a
+row block of about _BLOCK_ENTRIES entries (1 MiB) at a time, into one
+buffer its task owns, and each block is logged and reduced while it is
+still in L2, so a thread holds one block, never a whole chunk (32 MiB);
+the fills give the bits of one draw of the chunk (see
+Distribution._filler).  Each chunk returns the log l_p norms of its rows,
+and the chunks are concatenated in chunk-index order before anything is
+counted or pooled, so results do not depend on worker count or
+scheduling: identical inputs and seed give bit-identical output.  One
+thread pool serves a whole sweep: curve_sweep hands it every
 chunk of every (p, n) cell at once, largest first, and band_frequency_at
 runs a p bisection on the pool its caller owns, reducing its held sample
 in row-block tasks, so one held chunk still fills every thread.  Every
@@ -28,7 +33,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -192,25 +197,46 @@ def _reduce_nonzeros(logs: np.ndarray, keep: np.ndarray, ps: Sequence[float]) ->
     return out
 
 
+def _reduce_blocks(blocks: Iterable[np.ndarray], rows: int, ps: Sequence[float]) -> np.ndarray:
+    """Row log-norms at each p of ps, shape (len(ps), rows), of the row
+    blocks that blocks yields in order: each holds |entries|, and their
+    logs, then the last p's scaling of them, overwrite it in place."""
+    out = np.empty((len(ps), rows))
+    start = 0
+    for logs in blocks:
+        keep = _log_abs_finite(logs)
+        out[:, start : start + len(logs)] = _reduce_logs(logs, keep, ps, own=True)
+        start += len(logs)
+    return out / np.array(ps, dtype=float)[:, None]
+
+
 def _log_norms_at(values: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     """log_lp_norms(values, p) for each p of ps, stacked on a new first axis.
 
     Rows are taken a block of about _BLOCK_ENTRIES at a time; abs and log
-    run once per block for every p, and the last p scales that block in
-    place.
+    run once per block for every p.
     """
     if not all(p > 0 for p in ps):
         raise ValueError("p must be positive")
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     rows = values.reshape(-1, n)
-    out = np.empty((len(ps), rows.shape[0]))
     step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, rows.shape[0], step):
-        logs = np.abs(rows[start : start + step])
-        keep = _log_abs_finite(logs)
-        out[:, start : start + step] = _reduce_logs(logs, keep, ps, own=True)
-    return (out / np.array(ps, dtype=float)[:, None]).reshape(len(ps), *values.shape[:-1])
+    blocks = (np.abs(rows[start : start + step]) for start in range(0, len(rows), step))
+    return _reduce_blocks(blocks, len(rows), ps).reshape(len(ps), *values.shape[:-1])
+
+
+def _drawn_blocks(dist: Distribution, rng: np.random.Generator, rows: int, n: int) -> Iterator:
+    """|entries| of dist.draw(rng, (rows, n)), bit for bit, in the row blocks
+    of _log_norms_at, each drawn into one buffer once the last is reduced:
+    no array of all the rows is made."""
+    step = max(1, _BLOCK_ENTRIES // n)
+    fill = dist._filler(rng, rows * n)
+    buffer = np.empty(min(step, rows) * n)
+    for start in range(0, rows, step):
+        block = buffer[: min(step, rows - start) * n].reshape(-1, n)
+        fill(block)
+        yield np.abs(block, out=block)
 
 
 def _log_norms_imputed(
@@ -324,8 +350,11 @@ def _chunk_plan(rows_total: int, row_entries: int) -> list[tuple[int, int, int]]
 
 
 def _threads(workers: int | None, tasks: int) -> int:
-    """Pool size for a map of that many tasks: workers, by default one per
-    CPU, never more than the tasks and never less than 1."""
+    """Pool size for a map of that many tasks: workers (a ValueError below
+    1), by default one per CPU, never more than the tasks and never less
+    than 1."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     if workers is None:
         workers = min(tasks, os.cpu_count() or 1)
     return max(1, min(workers, tasks))
@@ -370,7 +399,9 @@ def _sample_log_norms(
     def one(task: tuple[int, tuple[int, int, int]]) -> np.ndarray:
         s, (index, _, rows) = task
         seed, shape, ps = samples[s]
-        return _log_norms_at(dist.draw(generator(seed, index), (rows, *shape)), ps)
+        count = rows * math.prod(shape[:-1])
+        blocks = _drawn_blocks(dist, generator(seed, index), count, shape[-1])
+        return _reduce_blocks(blocks, count, ps).reshape(len(ps), rows, *shape[:-1])
 
     parts: list[list[np.ndarray]] = [[] for _ in samples]
     done = _map_tasks(one, tasks, workers, size=lambda t: t[1][2] * math.prod(samples[t[0]][1]))
@@ -505,16 +536,12 @@ def band_frequency_at(
     """
     _check_band(n, delta, M)
     plan = _chunk_plan(M, n)
-    step = max(1, _BLOCK_ENTRIES // n)
-
-    def draw(chunk: tuple[int, int, int]) -> np.ndarray:
-        index, _, rows = chunk
-        return dist.draw(generator(seed, index), (rows, n))
 
     def hold(chunk: tuple[int, int, int]) -> list[tuple]:
-        a = np.abs(draw(chunk))
+        index, _, rows = chunk
         held = []
-        for logs in np.split(a, range(step, len(a), step)):
+        for block in _drawn_blocks(dist, generator(seed, index), rows, n):
+            logs = block.copy()  # the next block is drawn into block
             keep = _log_abs_finite(logs)
             held.append((logs, keep, logs.max(axis=-1, keepdims=True)))
         return held
@@ -530,7 +557,9 @@ def band_frequency_at(
             if k < len(blocks):
                 logs, keep, top = blocks[k]
                 return _reduce_logs(logs, keep, (p,), own=False, top=top)[0] / p
-            return _log_norms_at(draw(redrawn[k - len(blocks)]), (p,))[0]
+            index, _, rows = redrawn[k - len(blocks)]
+            drawn = _drawn_blocks(dist, generator(seed, index), rows, n)
+            return _reduce_blocks(drawn, rows, (p,))[0]
 
         tasks = range(len(blocks) + len(redrawn))
         log_norms = np.concatenate(_map_tasks(one, tasks, workers, pool=pool))

@@ -134,6 +134,20 @@ def test_usage_errors_exit_two():
     assert info.value.code == 2
 
 
+def test_worker_counts_below_one_are_usage_errors(monkeypatch, capsys):
+    base = ["curve", "--dist", "uniform01", "--p", "1", "--n", "10", "--M", "100"]
+    for workers in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as info:
+            run(base + ["--workers", workers])
+        assert info.value.code == 2
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        with pytest.raises(SystemExit) as info:
+            run(base)
+        assert info.value.code == 2
+        monkeypatch.delenv(WORKERS_ENV)
+    assert capsys.readouterr().out == ""
+
+
 def test_input_errors_exit_one(capsys):
     assert run(["rates", "--dist", "mystery:x=1", "--p", "1", "--delta", "0.1"]) == 1
     assert "lpconc:" in capsys.readouterr().err

@@ -335,12 +335,17 @@ def test_draws_are_deterministic_and_distributed():
 
 
 def test_zero_inflated_draw_zeroes_the_base_draw_in_place():
-    returned = []
+    filled = []
 
     class RecordingNormal(StandardNormal):
-        def draw(self, rng, size):
-            returned.append(super().draw(rng, size))
-            return returned[-1]
+        def _filler(self, rng, total):
+            fill = super()._filler(rng, total)
+
+            def recording(out):
+                filled.append(out)
+                fill(out)
+
+            return recording
 
     law = ZeroInflated(0.3, RecordingNormal())
     got = law.draw(generator(5), (40, 25))
@@ -350,7 +355,101 @@ def test_zero_inflated_draw_zeroes_the_base_draw_in_place():
     expected = rng.standard_normal((40, 25))
     expected[zero] = 0.0
     assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
-    assert got is returned[0]
+    assert zero.any() and not np.signbit(got[zero]).any()  # +0.0, never -0.0
+    assert len(filled) == 1 and filled[0] is got
+
+
+def _zero_inflated_reference(a, base):
+    def draw(rng, total):
+        keep = rng.random(total) >= a
+        return base(rng, total) * keep + 0.0
+
+    return draw
+
+
+_EMPIRICAL_VALUES = np.array([-2.5, 0.0, 1.0, 3.25, -0.5, 7.0, 0.0])
+_NONZERO_VALUES = _EMPIRICAL_VALUES[_EMPIRICAL_VALUES != 0.0]
+_diff_reference = lambda rng, t: rng.uniform(-1.0, 1.0, t) - rng.uniform(-1.0, 1.0, t)
+_empirical_reference = lambda rng, t: _EMPIRICAL_VALUES[rng.integers(0, 7, t)]
+_nonzero_reference = lambda rng, t: _NONZERO_VALUES[rng.integers(0, 5, t)]
+
+
+def _three_point_reference(rng, t):
+    u = rng.random(t)
+    signs = np.where(rng.random(t) < 0.5, -1.0, 1.0)
+    return np.where(u < 0.2, 0.0, 1.5 * signs)
+
+
+# each law with its draw as whole-array numpy calls, one pass after another
+# on one stream
+_LAWS = {
+    "uniform01": (UniformUnit(), lambda rng, t: rng.random(t)),
+    "uniform:b=2": (UniformSymmetric(b=2.0), lambda rng, t: rng.uniform(-2.0, 2.0, t)),
+    "diffuniform": (DiffUniform(), _diff_reference),
+    "normal": (StandardNormal(), lambda rng, t: rng.standard_normal(t)),
+    "twopoint": (TwoPoint(a=0.3, r=2.0), lambda rng, t: np.where(rng.random(t) < 0.3, 0.0, 2.0)),
+    "threepoint": (ThreePointSymmetric(a=0.2, r=1.5), _three_point_reference),
+    "empirical": (Empirical(_EMPIRICAL_VALUES), _empirical_reference),
+    "zeroinflated-normal": (
+        ZeroInflated(0.3, StandardNormal()),
+        _zero_inflated_reference(0.3, lambda rng, t: rng.standard_normal(t)),
+    ),
+    "zeroinflated-diffuniform": (
+        ZeroInflated(0.4, DiffUniform()), _zero_inflated_reference(0.4, _diff_reference)
+    ),
+    "zeroinflated-empirical": (
+        ZeroInflated(0.25, Empirical(_NONZERO_VALUES)),
+        _zero_inflated_reference(0.25, _nonzero_reference),
+    ),
+}
+
+
+def _stream(used: int) -> np.random.Generator:
+    """A stream part read: a buffered 32-bit half-word and used 64-bit words
+    of the 4-word Philox buffer already taken."""
+    rng = generator(17)
+    rng.integers(0, 10, 3)
+    rng.random(used)
+    return rng
+
+
+def _tail(rng: np.random.Generator) -> list[int]:
+    """What rng yields next, 32-bit reads around 64-bit ones."""
+    ints = rng.integers(0, 1 << 20, 3).tolist()
+    return ints + rng.random(5).view(np.int64).tolist() + rng.integers(0, 1 << 20, 3).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(_LAWS))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    quads=st.integers(0, 600),
+    rest=st.integers(0, 3),
+    used=st.integers(0, 5),
+    blocks=st.lists(st.integers(1, 500).filter(lambda b: b % 4), min_size=1, max_size=5),
+)
+def test_block_fills_give_the_bits_of_one_draw(name, quads, rest, used, blocks):
+    # every law fills blocks that are no multiple of 4 entries, of totals at
+    # every remainder mod 4, with the bits of its draw and of numpy's
+    # whole-array calls, and leaves its stream where those calls leave it
+    law, reference = _LAWS[name]
+    total = 4 * quads + rest
+    rng = _stream(used)
+    expected = reference(rng, total)
+    expected_tail = _tail(rng)
+    rng = _stream(used)
+    drawn = law.draw(rng, total)
+    assert drawn.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert _tail(rng) == expected_tail
+    rng = _stream(used)
+    fill = law._filler(rng, total)
+    out = np.full(total, np.nan)
+    start, k = 0, 0
+    while start < total:
+        stop = min(total, start + blocks[k % len(blocks)])
+        fill(out[start:stop])
+        start, k = stop, k + 1
+    assert out.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    assert _tail(rng) == expected_tail
 
 
 def test_sample_helper_and_empirical_round_trip():

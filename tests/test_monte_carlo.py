@@ -7,6 +7,7 @@ sampler can be tested against them to statistical tolerance.
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,14 +424,22 @@ def test_concentration_frequency_worker_count_is_invisible():
 
 
 def _counting(law=UniformUnit, **params):
-    """A law of that class that records the size of every array it draws."""
+    """A law of that class that records, for every filler it makes (one per
+    drawn chunk), the entries its fills write, never more than its total."""
     drawn = []
 
     class Counting(law):
-        def draw(self, rng, size):
-            x = super().draw(rng, size)
-            drawn.append(x.size)
-            return x
+        def _filler(self, rng, total):
+            fill = super()._filler(rng, total)
+            k = len(drawn)
+            drawn.append(0)
+
+            def counted(out):
+                drawn[k] += out.size
+                assert drawn[k] <= total
+                fill(out)
+
+            return counted
 
     return Counting(**params), drawn
 
@@ -444,6 +453,33 @@ def test_empirical_mu_draws_each_entry_once():
     dist, drawn = _counting()
     relative_contrast(dist, n, 1.0, M, seed=4, delta=0.1, normalization="empirical-mu")
     assert sum(drawn) == 2 * M * n
+
+
+def test_worker_counts_below_one_are_rejected():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            monte_carlo._threads(workers, 10)
+        with pytest.raises(ValueError, match="workers"):
+            concentration_frequency(UniformUnit(), 10, 1.0, 0.1, M=200, seed=0, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            find_p_star(ZeroInflated(a=0.3, base=UniformUnit()), workers=workers, **PSTAR_ARGS)
+    assert monte_carlo._threads(1, 10) == 1 and monte_carlo._threads(5, 2) == 2
+    assert monte_carlo._threads(None, 0) == 1
+
+
+def test_one_thread_holds_one_block_not_one_chunk():
+    # a chunk holds CHUNK_TARGET_ENTRIES entries (32 MiB of floats); drawing
+    # and reducing it a block at a time keeps the traced peak under a
+    # quarter of that, so no chunk-sized array can come back unnoticed
+    bound = monte_carlo.CHUNK_TARGET_ENTRIES * 8 / 4
+    for law in (UniformUnit(), ZeroInflated(a=0.3, base=StandardNormal())):
+        tracemalloc.start()
+        try:
+            concentration_frequency(law, n=1000, p=0.5, delta=0.1, M=10_000, seed=0, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (law, peak)
 
 
 def test_concentration_frequency_empirical_normalizer_tracks_analytic():
