@@ -5,7 +5,9 @@ how zero imputation (or mode shifting) changes the marginals and the norm
 concentration profile.  Marginal drift is measured per column with a
 two-sample KS test and the 1-D Wasserstein distance; concentration is the
 fraction of rows whose p-norm stays inside a band around the estimated
-typical value.
+typical value.  Zero imputation draws its uniforms a block at a time into a
+boolean mask, and a pooled perturbation report holds that mask, never a
+perturbed copy of the matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .monte_carlo import (
+    _BLOCK_ENTRIES,
     _band_count,
     _log_norms_at,
     _log_norms_imputed,
@@ -154,6 +157,8 @@ def load_csv(
                     parsed.append(math.nan)
                     continue
                 try:
+                    if "_" in text:  # float() reads 1_0 as 10; numpy does not
+                        raise ValueError
                     value = float(text)
                 except ValueError:
                     raise ValueError(
@@ -205,9 +210,9 @@ def _finite_number(text: str) -> bool:
 def _clean_body(handle, delimiter: str, columns: int) -> np.ndarray | None:
     """The rest of the file by numpy's C reader if it is at least one row of
     `columns` finite numbers, else None.  Its fields split as csv.reader
-    splits them, and its cells parse as float() parses the stripped text
-    (less float's underscores), so the per-cell loop would build the same
-    matrix."""
+    splits them, and its cells parse as float() parses the stripped text, so
+    the per-cell loop would build the same matrix.  numpy rejects the digit
+    separators float() accepts (1_0 for 10), and so does that loop."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "input contained no data"
         try:
@@ -220,10 +225,17 @@ def _clean_body(handle, delimiter: str, columns: int) -> np.ndarray | None:
 
 
 def drop_constant(data: Dataset) -> Dataset:
-    """Remove columns with a single unique value."""
+    """Remove columns with a single unique value; a ValueError when every
+    column has one, as every column of a one-row matrix has."""
     keep = [i for i, flag in enumerate(data.constant_mask) if not flag]
     if len(keep) == data.n:
         return data
+    if not keep:
+        rows = f"{data.M} row" + ("s" if data.M > 1 else "")
+        raise ValueError(
+            f"every column is constant over the {rows}, so none is left once constant "
+            "columns are dropped; pass --keep-constant to keep them"
+        )
     return Dataset(
         data.values[:, keep],
         tuple(data.column_names[i] for i in keep),
@@ -239,9 +251,11 @@ def standardize(data: Dataset) -> Dataset:
         raise ValueError(
             "constant columns cannot be standardized; apply drop_constant first"
         )
-    centered = data.values - np.mean(data.values, axis=0)
+    # the deviation's temporaries go before the centred copy is made
     scale = np.std(data.values, axis=0, ddof=1)
-    return Dataset(centered / scale, data.column_names, meta=dict(data.meta))
+    centered = data.values - np.mean(data.values, axis=0)
+    centered /= scale
+    return Dataset(centered, data.column_names, meta=dict(data.meta))
 
 
 def zero_impute(data: Dataset, gap_prob: float, seed: int) -> Dataset:
@@ -249,17 +263,29 @@ def zero_impute(data: Dataset, gap_prob: float, seed: int) -> Dataset:
 
     The realized replacement fraction is reported in meta["realized_fraction"].
     """
-    if not 0.0 <= gap_prob <= 1.0:
-        raise ValueError("gap_prob must lie in [0, 1]")
-    mask = generator(seed).random(size=data.values.shape) < gap_prob
-    values = np.where(mask, 0.0, data.values)
+    mask = _gap_mask(data.values.shape, gap_prob, seed)
     meta = {
         **data.meta,
         "gap_prob": float(gap_prob),
         "realized_fraction": float(np.mean(mask)),
         "impute_seed": int(seed),
     }
-    return Dataset(values, data.column_names, meta=meta)
+    return Dataset(np.where(mask, 0.0, data.values), data.column_names, meta=meta)
+
+
+def _gap_mask(shape: tuple[int, int], gap_prob: float, seed: int) -> np.ndarray:
+    """generator(seed).random(size=shape) < gap_prob, bit for bit, as a
+    boolean mask; the uniforms are drawn _BLOCK_ENTRIES at a time into one
+    buffer, so no float array of the shape is made."""
+    if not 0.0 <= gap_prob <= 1.0:
+        raise ValueError("gap_prob must lie in [0, 1]")
+    rng = generator(seed)
+    mask = np.empty(math.prod(shape), dtype=bool)
+    buffer = np.empty(min(_BLOCK_ENTRIES, mask.size))
+    for start in range(0, mask.size, _BLOCK_ENTRIES):
+        block = rng.random(out=buffer[: mask.size - start])
+        np.less(block, gap_prob, out=mask[start : start + block.size])
+    return mask.reshape(shape)
 
 
 def mode_shift(data: Dataset, max_unique: int) -> Dataset:
@@ -468,19 +494,23 @@ def perturb_report(
     data arrives standardized; the report only perturbs what it is given.
     """
     _check_ks_sizes(data.M, data.M)
-    perturbed = zero_impute(data, gap_prob, seed)
+    mask = _gap_mask(data.values.shape, gap_prob, seed)
     statistics = []
     pvalues = []
     total = 0.0
     for j in range(data.n):
-        stat, w1 = _drift(data.values[:, j], perturbed.values[:, j])
+        x = data.values[:, j]
+        stat, w1 = _drift(x, np.where(mask[:, j], 0.0, x))
         statistics.append(stat)
         pvalues.append(_ks_pvalue(stat, data.M, data.M))
         total += w1
-    # pooled, both copies are reduced from one set of exponentials
-    both = (None, None)
+    # pooled, both copies are reduced from one set of exponentials, and the
+    # perturbed one is never made whole: its curve reads only their shape
+    both, perturbed = (None, None), data
     if normalization == "pooled":
-        both = _log_norms_imputed(data.values, perturbed.values, p_grid)
+        both = _log_norms_imputed(data.values, mask, p_grid)
+    else:
+        perturbed = Dataset(np.where(mask, 0.0, data.values), data.column_names)
     original_curve = _curve(data, p_grid, delta, normalization, both[0])
     perturbed_curve = _curve(perturbed, p_grid, delta, normalization, both[1])
     curves = tuple(
@@ -493,7 +523,7 @@ def perturb_report(
         ks_min_pvalue=float(min(pvalues)),
         ks_statistic_max=float(max(statistics)),
         seed=int(seed),
-        realized_fraction=float(perturbed.meta["realized_fraction"]),
+        realized_fraction=float(np.mean(mask)),
         curves=curves,
         delta=float(delta),
         normalization=normalization,

@@ -3,24 +3,30 @@
 Four vector populations mirror common retrieval setups: dense normalized
 encoders, high-dimensional sparse term weights, ReLU feature maps, and
 binary indicator profiles.  On top of them sit concentration and contrast
-tables over p.
+tables over p.  A table holds one block of a batch at a time: each kind has
+one block filler (_filler), and monte_carlo._drawn_blocks draws a batch a
+row block of about _BLOCK_ENTRIES entries (1 MiB) at a time into one buffer,
+over the chunk streams that generate draws, for _reduce_blocks to reduce at
+every p before the next is drawn, with the bits of the whole batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .distributions import _split
 from .monte_carlo import (
     _band_count,
     _chunk_plan,
-    _log_norms_at,
+    _drawn_blocks,
     _median,
     _pooled_log_mu,
+    _reduce_blocks,
     wilson_halfwidth,
 )
 from .seeding import derive_seed, generator
@@ -70,37 +76,66 @@ def kind_by_name(name: str) -> EmbeddingKind:
     raise ValueError(f"unknown embedding kind {name!r}; have " + ", ".join(_KIND_INDEX))
 
 
-def _draw_rows(kind: EmbeddingKind, rng: np.random.Generator, rows: int) -> np.ndarray:
-    if kind.name == "dense":
-        g = rng.normal(0.0, 0.15, size=(rows, kind.dim))
-        norms = np.sqrt(np.sum(g * g, axis=1, keepdims=True))
-        return g / norms
+def _filler(kind: EmbeddingKind, rng: np.random.Generator, rows: int) -> Callable:
+    """fill(out), which writes the next len(out) rows of the kind's batch of
+    rows rows from rng into out, a C-contiguous (r, dim) block: blocks
+    filled in turn hold the bits of one fill of every row, and no array of
+    all the rows is made."""
     if kind.name == "sparse":
-        # both arrays are always drawn so stream consumption is fixed; the
-        # exponentials, scale times standard ones as rng.exponential draws
-        # them, reuse the uniforms' memory and are masked to +0.0 in place
-        values = rng.random(size=(rows, kind.dim))
-        mask = values < 0.002
-        rng.standard_exponential(out=values)
-        values *= 1.0 / 1.5
-        values *= mask
-        return values
-    if kind.name == "relu":
-        return np.maximum(rng.normal(0.0, 0.3, size=(rows, kind.dim)), 0.0)
+        # every uniform comes before every exponential, so stream consumption
+        # is fixed: the uniforms come from a copy of the stream (_split), and
+        # the exponentials, scale times standard ones as rng.exponential
+        # draws them, reuse their memory and are masked to +0.0 in place
+        uniforms = _split(rng, rows * kind.dim)
+
+        def fill(out):
+            mask = uniforms.random(out=out) < 0.002
+            rng.standard_exponential(out=out)
+            out *= 1.0 / 1.5
+            out *= mask
+
+        return fill
     if kind.name == "binary":
-        return (rng.random(size=(rows, kind.dim)) < 0.1).astype(float)
-    raise ValueError(f"unknown embedding kind {kind.name!r}")
+        return lambda out: np.less(rng.random(out=out), 0.1, out=out)
+    if kind.name not in ("dense", "relu"):
+        raise ValueError(f"unknown embedding kind {kind.name!r}")
+    scale = 0.15 if kind.name == "dense" else 0.3
+
+    def fill(out):
+        rng.standard_normal(out=out)
+        out *= scale
+        out += 0.0  # rng.normal(0, scale) forms 0 + scale * z
+        if kind.name == "dense":
+            out /= np.sqrt(np.sum(out * out, axis=1, keepdims=True))
+        else:
+            np.maximum(out, 0.0, out=out)
+
+    return fill
+
+
+def _chunk_fills(kind: EmbeddingKind, M: int, seed: int) -> list[tuple[Callable, int]]:
+    """(fill, rows) of each chunk of M rows; chunk i draws from stream (seed, i)."""
+    if M < 1:
+        raise ValueError("M must be a positive integer")
+    plan = _chunk_plan(M, kind.dim)
+    return [(_filler(kind, generator(seed, index), rows), rows) for index, _, rows in plan]
 
 
 def generate(kind: EmbeddingKind, M: int, seed: int) -> np.ndarray:
     """M rows of the population; chunk i draws from stream (seed, i)."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    parts = [
-        _draw_rows(kind, generator(seed, index), rows)
-        for index, _, rows in _chunk_plan(M, kind.dim)
-    ]
-    return parts[0] if len(parts) == 1 else np.vstack(parts)
+    pieces = _chunk_fills(kind, M, seed)
+    batch = np.empty((M, kind.dim))
+    start = 0
+    for fill, rows in pieces:
+        fill(batch[start : start + rows])
+        start += rows
+    return batch
+
+
+def _batch_log_norms(kind: EmbeddingKind, M: int, seed: int, ps: Sequence[float]) -> np.ndarray:
+    """_log_norms_at(generate(kind, M, seed), ps), bit for bit, from one
+    block of the batch at a time."""
+    return _reduce_blocks(_drawn_blocks(_chunk_fills(kind, M, seed), M, kind.dim), M, ps)
 
 
 @dataclass(frozen=True)
@@ -148,9 +183,9 @@ def concentration_table(
         raise ValueError("delta must lie in (0, 1)")
     cells: list[TableCell] = []
     for kind in kinds:
-        values = generate(kind, M, derive_seed(seed, _KIND_INDEX[kind.name], 0))
-        for p, log_norms in zip(p_grid, _log_norms_at(values, p_grid)):
-            log_mu = _pooled_log_mu(log_norms, p, values.size)
+        by_p = _batch_log_norms(kind, M, derive_seed(seed, _KIND_INDEX[kind.name], 0), p_grid)
+        for p, log_norms in zip(p_grid, by_p):
+            log_mu = _pooled_log_mu(log_norms, p, M * kind.dim)
             inside = _band_count(log_norms, kind.dim, p, log_mu, delta)
             cells.append(
                 TableCell(kind.name, float(p), inside / M, wilson_halfwidth(inside, M))
@@ -172,9 +207,11 @@ def contrast_table(
         raise ValueError("pairs must be a positive integer")
     cells: list[TableCell] = []
     for kind in kinds:
-        first = generate(kind, pairs, derive_seed(seed, _KIND_INDEX[kind.name], 1))
-        second = generate(kind, pairs, derive_seed(seed, _KIND_INDEX[kind.name], 2))
-        for p, l1, l2 in zip(p_grid, _log_norms_at(first, p_grid), _log_norms_at(second, p_grid)):
+        first, second = (
+            _batch_log_norms(kind, pairs, derive_seed(seed, _KIND_INDEX[kind.name], batch), p_grid)
+            for batch in (1, 2)
+        )
+        for p, l1, l2 in zip(p_grid, first, second):
             valid = l1 > -math.inf
             with np.errstate(over="ignore", invalid="ignore"):
                 rc = np.abs(np.expm1(l2[valid] - l1[valid]))

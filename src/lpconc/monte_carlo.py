@@ -207,7 +207,8 @@ def _reduce_blocks(blocks: Iterable[np.ndarray], rows: int, ps: Sequence[float])
         keep = _log_abs_finite(logs)
         out[:, start : start + len(logs)] = _reduce_logs(logs, keep, ps, own=True)
         start += len(logs)
-    return out / np.array(ps, dtype=float)[:, None]
+    out /= np.array(ps, dtype=float)[:, None]
+    return out
 
 
 def _log_norms_at(values: np.ndarray, ps: Sequence[float]) -> np.ndarray:
@@ -226,24 +227,40 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     return _reduce_blocks(blocks, len(rows), ps).reshape(len(ps), *values.shape[:-1])
 
 
-def _drawn_blocks(dist: Distribution, rng: np.random.Generator, rows: int, n: int) -> Iterator:
-    """|entries| of dist.draw(rng, (rows, n)), bit for bit, in the row blocks
-    of _log_norms_at, each drawn into one buffer once the last is reduced:
-    no array of all the rows is made."""
+def _drawn_blocks(pieces: Iterable[tuple[Callable, int]], rows: int, n: int) -> Iterator:
+    """|entries| of rows rows of n entries, in the row blocks of _log_norms_at,
+    each filled into one buffer once the last is reduced: no array of all
+    the rows is made.  pieces yields (fill, count) in row order, where fill
+    writes the next rows of its count into a C-contiguous (r, n) block, so a
+    block may take its rows from more than one fill."""
     step = max(1, _BLOCK_ENTRIES // n)
-    fill = dist._filler(rng, rows * n)
     buffer = np.empty(min(step, rows) * n)
+    pieces = iter(pieces)
+    left = 0
     for start in range(0, rows, step):
         block = buffer[: min(step, rows - start) * n].reshape(-1, n)
-        fill(block)
+        done = 0
+        while done < len(block):
+            if not left:
+                fill, left = next(pieces)
+            take = min(left, len(block) - done)
+            fill(block[done : done + take])
+            done, left = done + take, left - take
         yield np.abs(block, out=block)
 
 
+def _law_blocks(dist: Distribution, rng: np.random.Generator, rows: int, n: int) -> Iterator:
+    """_drawn_blocks of dist.draw(rng, (rows, n)), bit for bit."""
+    return _drawn_blocks([(dist._filler(rng, rows * n), rows)], rows, n)
+
+
 def _log_norms_imputed(
-    values: np.ndarray, imputed: np.ndarray, ps: Sequence[float]
+    values: np.ndarray, zeroed: np.ndarray, ps: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(_log_norms_at(values, ps), _log_norms_at(imputed, ps)) bit for bit,
-    where imputed is the finite rows values with some entries set to 0.
+    where imputed, np.where(zeroed, 0.0, values), is the finite rows values
+    with the entries of the boolean mask zeroed set to 0; it is never made
+    whole, only a block of it at a time.
 
     Where a row's maximum is left in place, both copies share the shift and
     imputed's terms are values' times imputed's 0/1 mask (e * 1 == e,
@@ -259,8 +276,8 @@ def _log_norms_imputed(
     for start in range(0, values.shape[0], step):
         rows = slice(start, start + step)
         logs = np.abs(values[rows])
+        again = np.where(zeroed[rows], 0.0, logs)
         keep = _log_abs_finite(logs)
-        again = np.abs(imputed[rows])
         kept = _log_abs_finite(again)
         if kept is None:  # nothing zeroed, nothing zero
             out[:, :, rows] = _reduce_logs(logs, keep, ps, own=True)
@@ -284,8 +301,8 @@ def _log_norms_imputed(
             terms *= kept
             out[1, k, rows] = _log_sum(terms, shift)
             out[1, k, start + moved] = _row_logsumexp(again * p, kept_moved, top_again * p)
-    scale = np.array(ps, dtype=float)[:, None]
-    return out[0] / scale, out[1] / scale
+    out /= np.array(ps, dtype=float)[:, None]
+    return out[0], out[1]
 
 
 def log_lp_norms(values: np.ndarray, p: float) -> np.ndarray:
@@ -400,7 +417,7 @@ def _sample_log_norms(
         s, (index, _, rows) = task
         seed, shape, ps = samples[s]
         count = rows * math.prod(shape[:-1])
-        blocks = _drawn_blocks(dist, generator(seed, index), count, shape[-1])
+        blocks = _law_blocks(dist, generator(seed, index), count, shape[-1])
         return _reduce_blocks(blocks, count, ps).reshape(len(ps), rows, *shape[:-1])
 
     parts: list[list[np.ndarray]] = [[] for _ in samples]
@@ -540,7 +557,7 @@ def band_frequency_at(
     def hold(chunk: tuple[int, int, int]) -> list[tuple]:
         index, _, rows = chunk
         held = []
-        for block in _drawn_blocks(dist, generator(seed, index), rows, n):
+        for block in _law_blocks(dist, generator(seed, index), rows, n):
             logs = block.copy()  # the next block is drawn into block
             keep = _log_abs_finite(logs)
             held.append((logs, keep, logs.max(axis=-1, keepdims=True)))
@@ -558,7 +575,7 @@ def band_frequency_at(
                 logs, keep, top = blocks[k]
                 return _reduce_logs(logs, keep, (p,), own=False, top=top)[0] / p
             index, _, rows = redrawn[k - len(blocks)]
-            drawn = _drawn_blocks(dist, generator(seed, index), rows, n)
+            drawn = _law_blocks(dist, generator(seed, index), rows, n)
             return _reduce_blocks(drawn, rows, (p,))[0]
 
         tasks = range(len(blocks) + len(redrawn))

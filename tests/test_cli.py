@@ -352,6 +352,16 @@ def test_diagnose_subcommand(tmp_path, capsys):
     assert lines[1].split(",")[2] == "False"
 
 
+def test_diagnose_on_one_row_names_the_cause_and_the_remedy(tmp_path, capsys):
+    # one row makes every column constant, and dropping them leaves nothing
+    path = tmp_path / "one.csv"
+    path.write_text("x,y,z\n1.5,2,-3\n")
+    assert run(["diagnose", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lpconc: every column is constant over the 1 row,")
+    assert "--keep-constant" in err and len(err.splitlines()) == 1
+
+
 def test_perturb_subcommand_fields_and_determinism(tmp_path, capsys):
     path = _write_csv(tmp_path)
     args = ["perturb", "--input", path, "--gap", "0.2", "--seed", "6",

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,14 @@ def test_load_csv_custom_delimiter(tmp_path):
     assert data.values.tolist() == [[1.0, 2.0]]
 
 
+def test_load_csv_reports_a_digit_separator_as_unparseable(tmp_path):
+    # float() reads 1_0 as 10.0; numpy's reader rejects it, and so must the
+    # per-cell loop the file then falls to
+    path = _write(tmp_path, "x,y\n1,2\n3,1_0\n4,5\n")
+    with pytest.raises(ValueError, match=r"unparseable cell at row 3, column 'y': '1_0'"):
+        load_csv(path)
+
+
 # --- C reader against the per-cell oracle -----------------------------------
 
 def _write_bytes(tmp_path, text, name="data.csv"):
@@ -171,9 +180,11 @@ def test_c_reader_matches_float_on_layouts(tmp_path, monkeypatch, text, delimite
     assert taken == [True]
 
 
-def test_loader_keeps_python_only_literals_and_nonfinite_as_missing(tmp_path, monkeypatch):
+def test_loader_rejects_digit_separators_and_keeps_nonfinite_as_missing(tmp_path, monkeypatch):
     taken = _routes(monkeypatch)
-    assert load_csv(_write(tmp_path, "a,b\n1_000,2\n")).values.tolist() == [[1000.0, 2.0]]
+    # float() alone would read 1_000 as 1000.0, which numpy's reader rejects
+    with pytest.raises(ValueError, match="unparseable cell at row 2, column 'a': '1_000'"):
+        load_csv(_write(tmp_path, "a,b\n1_000,2\n"))
     path = _write(tmp_path, "a,b\n1,nan\ninf,2\n1e400,3\n4,-inf\n5,6\n")
     data = load_csv(path, missing_policy="drop-rows")
     assert data.meta["missing_cells"] == 4 and data.values.tolist() == [[5.0, 6.0]]
@@ -247,6 +258,11 @@ def test_drop_constant():
     assert slim.meta["dropped_constant"] == 1
     # nothing to drop returns the same object untouched
     assert drop_constant(slim) is slim
+    # nothing left to keep is an error that says why
+    for values in ([[1.0, 5.0]], [[1.0, 5.0], [1.0, 5.0]]):
+        rows = len(values)
+        with pytest.raises(ValueError, match=f"every column is constant over the {rows} row"):
+            drop_constant(Dataset(np.array(values), ("u", "c")))
 
 
 def test_standardize_moments_and_errors():
@@ -554,10 +570,12 @@ def test_perturb_curves_equal_two_separate_curves(monkeypatch, gap):
     data = Dataset(values, tuple("abcdefghijkl"))
     ps = (1e-3, 0.3, 1.0, 2.0, 9.0)
     perturbed = zero_impute(data, gap, seed=2)
+    zeroed = generator(2).random(values.shape) < gap
+    assert np.array_equal(perturbed.values, np.where(zeroed, 0.0, values))
     kept = perturbed.values != 0.0
     if 0.0 < gap < 1.0:
         assert (kept[:, 0] != (values[:, 0] != 0.0)).any()  # some maxima were zeroed
-    both = monte_carlo._log_norms_imputed(data.values, perturbed.values, ps)
+    both = monte_carlo._log_norms_imputed(data.values, zeroed, ps)
     np.testing.assert_array_equal(both[0], monte_carlo._log_norms_at(data.values, ps))
     np.testing.assert_array_equal(both[1], monte_carlo._log_norms_at(perturbed.values, ps))
     report = perturb_report(data, gap, seed=2, p_grid=ps)
@@ -573,10 +591,11 @@ def test_imputed_norms_where_a_copy_is_sparse_or_p_is_huge(share):
     # stand-in's safe range, take the two separate reductions
     rng = np.random.default_rng(32)
     values = np.where(rng.random((200, 40)) < share, rng.normal(size=(200, 40)), 0.0)
-    imputed = np.where(rng.random(values.shape) < 0.3, 0.0, values)
+    zeroed = rng.random(values.shape) < 0.3
+    imputed = np.where(zeroed, 0.0, values)
     for ps in ((0.5, 2.0), (1.0, 1e306)):
         with np.errstate(over="ignore"):
-            both = monte_carlo._log_norms_imputed(values, imputed, ps)
+            both = monte_carlo._log_norms_imputed(values, zeroed, ps)
             np.testing.assert_array_equal(both[0], monte_carlo._log_norms_at(values, ps))
             np.testing.assert_array_equal(both[1], monte_carlo._log_norms_at(imputed, ps))
 
@@ -589,13 +608,73 @@ def test_imputed_norms_where_only_the_zeroed_maxima_rows_are_sparse():
     values = rng.exponential(size=(300, 40))
     values[150:, 5:] = 0.0
     values[150:, 0] = 50.0
-    imputed = values.copy()
-    imputed[150:, 0] = 0.0
+    zeroed = np.zeros(values.shape, dtype=bool)
+    zeroed[150:, 0] = True
+    imputed = np.where(zeroed, 0.0, values)
     assert np.count_nonzero(imputed[150:]) < monte_carlo._SPARSE_SHARE * imputed[150:].size
     ps = tuple(np.geomspace(0.01, 10.0, 9))
-    both = monte_carlo._log_norms_imputed(values, imputed, ps)
+    both = monte_carlo._log_norms_imputed(values, zeroed, ps)
     np.testing.assert_array_equal(both[0], monte_carlo._log_norms_at(values, ps))
     np.testing.assert_array_equal(both[1], monte_carlo._log_norms_at(imputed, ps))
+
+
+def _whole_matrix_report(data, gap, seed, ps, normalization):
+    """perturb_report by the whole-matrix route: one uniform draw of the
+    matrix's shape, the imputed copy made whole, each copy reduced alone."""
+    zeroed = generator(seed).random(size=data.values.shape) < gap
+    imputed = Dataset(np.where(zeroed, 0.0, data.values), data.column_names)
+    drift = [diagnostics._drift(data.values[:, j], imputed.values[:, j]) for j in range(data.n)]
+    curves = [
+        concentration_curve(copy, ps, normalization=normalization).fraction
+        for copy in (data, imputed)
+    ]
+    return imputed, float(np.mean(zeroed)), drift, curves
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.05, 1.0])
+def test_blocked_gap_mask_gives_the_whole_matrix_bits(gap):
+    # 3000 x 97 = 291,000 uniforms: two whole blocks of 131,072 and a part
+    # block, none of them ending at a row's end
+    rng = np.random.default_rng(34)
+    values = rng.normal(size=(3000, 97))
+    values[:, ::5] = rng.integers(0, 3, size=(3000, 20))
+    data = Dataset(values, tuple(f"c{j}" for j in range(97)))
+    assert data.values.size % monte_carlo._BLOCK_ENTRIES % 97
+    ps = (0.05, 1.0, 4.0)
+    for normalization in ("pooled", "per-column"):
+        imputed, fraction, drift, curves = _whole_matrix_report(data, gap, 8, ps, normalization)
+        ours = zero_impute(data, gap, seed=8)
+        assert np.array_equal(ours.values.view(np.int64), imputed.values.view(np.int64))
+        assert ours.meta["realized_fraction"] == fraction
+        report = perturb_report(data, gap, 8, p_grid=ps, normalization=normalization)
+        assert report.realized_fraction == fraction
+        assert report.ks_statistic_max == max(stat for stat, _ in drift)
+        assert report.wasserstein_total == sum(w1 for _, w1 in drift)
+        for k, row in enumerate(report.curves):
+            for got, want in ((row.frac_original, curves[0][k]), (row.frac_perturbed, curves[1][k])):
+                assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_perturb_report_holds_its_log_norm_stack_and_a_few_blocks():
+    # pooled, the report holds its two copies' log-norms at every p,
+    # 2 * 25 * 20000 * 8 bytes = 7.6 MiB, the 780,000-byte zero mask, and a
+    # block's temporaries: |values| and its imputed copy, their 0/1 float
+    # masks and one scaled copy, five 1 MiB blocks.  8 MiB covers the mask,
+    # the blocks and 2 MiB of slack; a perturbed copy of the input (6.2 MB)
+    # and a whole-matrix uniform draw (6.2 MB) would not fit in it
+    rng = np.random.default_rng(35)
+    values = rng.normal(size=(20000, 39))
+    values[:, ::4] = rng.integers(0, 3, size=(20000, 10))
+    data = Dataset(values, tuple(f"c{j}" for j in range(39)))
+    ps = diagnostics.DEFAULT_CURVE_P
+    stack = 2 * len(ps) * data.M * 8
+    tracemalloc.start()
+    try:
+        perturb_report(data, 0.05, 1, p_grid=ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack + 8 * 2**20, peak
 
 
 def test_wasserstein_total_does_not_depend_on_blas_threads():

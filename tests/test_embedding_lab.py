@@ -1,6 +1,7 @@
 """Synthetic embedding populations and their tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lpconc.embedding_lab import (
     generate,
     kind_by_name,
 )
-from lpconc.seeding import generator
+from lpconc.seeding import derive_seed, generator
 
 
 def test_kind_registry():
@@ -86,6 +87,85 @@ def test_sparse_population_keeps_its_stream(monkeypatch):
     expected = np.vstack(parts)
     assert len(parts) == 3
     assert np.array_equal(batch.view(np.int64), expected.view(np.int64))
+
+
+def _whole_batch_rows(kind, rng, rows):
+    """A chunk of rows of the kind drawn as one array per numpy call."""
+    size = (rows, kind.dim)
+    if kind is DENSE:
+        g = rng.normal(0.0, 0.15, size=size)
+        return g / np.sqrt(np.sum(g * g, axis=1, keepdims=True))
+    if kind is SPARSE:
+        mask = rng.random(size=size) < 0.002
+        return np.where(mask, rng.exponential(1.0 / 1.5, size=size), 0.0)
+    if kind is RELU:
+        return np.maximum(rng.normal(0.0, 0.3, size=size), 0.0)
+    return (rng.random(size=size) < 0.1).astype(float)
+
+
+def _whole_batch(kind, M, seed):
+    parts = [
+        _whole_batch_rows(kind, generator(seed, index), rows)
+        for index, _, rows in monte_carlo._chunk_plan(M, kind.dim)
+    ]
+    return np.vstack(parts), len(parts)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
+@pytest.mark.parametrize("block_rows", [5, None])
+def test_tables_keep_their_bits_across_chunk_and_block_boundaries(monkeypatch, kind, block_rows):
+    # chunks of 7 rows; blocks of 5 rows span two chunk streams, and the
+    # default blocks span every chunk of the batch.  Each cell must be the
+    # whole-batch route's: the chunks drawn whole, stacked, then reduced by
+    # _log_norms_at over the same row blocks
+    monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 7 * kind.dim)
+    if block_rows:
+        monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", block_rows * kind.dim)
+    ps, M, pairs, seed = (0.01, 0.5, 2.0, 10.0), 40, 23, 6
+    index = ALL_KINDS.index(kind)  # the tables' stream key
+    values, chunks = _whole_batch(kind, M, derive_seed(seed, index, 0))
+    assert chunks >= 3
+    assert _same_bits(generate(kind, M, derive_seed(seed, index, 0)), values)
+    want = []
+    for p, log_norms in zip(ps, monte_carlo._log_norms_at(values, ps)):
+        log_mu = monte_carlo._pooled_log_mu(log_norms, p, values.size)
+        inside = monte_carlo._band_count(log_norms, kind.dim, p, log_mu, 0.1)
+        want.append((kind.name, p, inside / M, monte_carlo.wilson_halfwidth(inside, M), 0))
+    assert list(concentration_table([kind], ps, M=M, seed=seed).rows()) == want
+    (first, chunks), (second, _) = (
+        _whole_batch(kind, pairs, derive_seed(seed, index, batch)) for batch in (1, 2)
+    )
+    assert chunks >= 3
+    got = list(contrast_table([kind], ps, pairs=pairs, seed=seed).rows())
+    by_p = zip(ps, monte_carlo._log_norms_at(first, ps), monte_carlo._log_norms_at(second, ps))
+    for row, (p, l1, l2) in zip(got, by_p):
+        valid = l1 > -math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = np.abs(np.expm1(l2[valid] - l1[valid]))
+        value = float(np.median(rc)) if rc.size else math.nan
+        assert row[:2] == (kind.name, p) and row[3:] == (None, int(pairs - valid.sum()))
+        assert row[2] == value or (math.isnan(row[2]) and math.isnan(value))
+
+
+def test_sparse_tables_hold_a_few_blocks_not_a_batch():
+    # at the CLI defaults a sparse batch is 5000 x 5000 floats (200 MB), and
+    # contrast's two are 3000 x 5000 each (240 MB); a table draws and
+    # reduces one block of _BLOCK_ENTRIES floats (1 MiB) at a time, so its
+    # traced peak stays under 8 blocks, a 25th of the smaller batch
+    bound = 8 * monte_carlo._BLOCK_ENTRIES * 8
+    for table in (lambda: concentration_table([SPARSE], M=5000),
+                  lambda: contrast_table([SPARSE], pairs=3000)):
+        tracemalloc.start()
+        try:
+            table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
 
 
 def test_sparse_pair_overlap_is_rare():
