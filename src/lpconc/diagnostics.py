@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from ._special import logsumexp  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .distributions import _cell_float
 from .monte_carlo import (
     _BLOCK_ENTRIES,
     _band_count,
@@ -157,9 +158,7 @@ def load_csv(
                     parsed.append(math.nan)
                     continue
                 try:
-                    if "_" in text:  # float() reads 1_0 as 10; numpy does not
-                        raise ValueError
-                    value = float(text)
+                    value = _cell_float(text)
                 except ValueError:
                     raise ValueError(
                         f"{path}: unparseable cell at row {line_no}, column {names[col]!r}: {cell!r}"
@@ -202,7 +201,7 @@ def load_csv(
 
 def _finite_number(text: str) -> bool:
     try:
-        return math.isfinite(float(text))
+        return math.isfinite(_cell_float(text))
     except ValueError:
         return False
 
@@ -210,9 +209,10 @@ def _finite_number(text: str) -> bool:
 def _clean_body(handle, delimiter: str, columns: int) -> np.ndarray | None:
     """The rest of the file by numpy's C reader if it is at least one row of
     `columns` finite numbers, else None.  Its fields split as csv.reader
-    splits them, and its cells parse as float() parses the stripped text, so
-    the per-cell loop would build the same matrix.  numpy rejects the digit
-    separators float() accepts (1_0 for 10), and so does that loop."""
+    splits them, and its cells parse as distributions._cell_float parses the
+    stripped text, so the per-cell loop would build the same matrix: numpy
+    rejects the digit separators and non-ASCII digits float() accepts (1_0
+    for 10), and so does that rule."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "input contained no data"
         try:

@@ -912,6 +912,15 @@ def _kv_float(kv: dict[str, str], key: str, default: float | None = None) -> flo
         raise ValueError(f"parameter {key!r} is not a number: {kv[key]!r}") from exc
 
 
+def _cell_float(text: str) -> float:
+    """A stripped CSV cell's number, by the rule of every CSV reader here and
+    of numpy's C reader: float() without its digit separators (1_0) and
+    non-ASCII digits, else a ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
 def load_empirical_column(path: str, col: int) -> Empirical:
     """Read one numeric column from a CSV file (header row tolerated)."""
     values: list[float] = []
@@ -923,7 +932,7 @@ def load_empirical_column(path: str, col: int) -> Empirical:
                 raise ValueError(f"{path}: row {i + 1} has no column {col}")
             cell = row[col].strip()
             try:
-                values.append(float(cell))
+                values.append(_cell_float(cell))
             except ValueError:
                 if i == 0:
                     continue  # header

@@ -3,11 +3,13 @@
 Four vector populations mirror common retrieval setups: dense normalized
 encoders, high-dimensional sparse term weights, ReLU feature maps, and
 binary indicator profiles.  On top of them sit concentration and contrast
-tables over p.  A table holds one block of a batch at a time: each kind has
-one block filler (_filler), and monte_carlo._drawn_blocks draws a batch a
-row block of about _BLOCK_ENTRIES entries (1 MiB) at a time into one buffer,
-over the chunk streams that generate draws, for _reduce_blocks to reduce at
-every p before the next is drawn, with the bits of the whole batch.
+tables over p.  Each kind has Distribution's block filler (_filler), so a
+table samples its batches through monte_carlo._sample_log_norms, the chunk
+sampler of the Monte Carlo curves: chunk i of a batch draws from stream
+(seed, i), as in generate, a row block of about _BLOCK_ENTRIES entries
+(1 MiB) at a time, each reduced at every p before the next is drawn.  A
+table never holds a batch, and runs on one thread (a thread pool raised its
+peak memory and time at the sizes tables run).
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .distributions import _split
 from .monte_carlo import (
     _band_count,
     _chunk_plan,
-    _drawn_blocks,
     _median,
     _pooled_log_mu,
-    _reduce_blocks,
+    _sample_log_norms,
     wilson_halfwidth,
 )
 from .seeding import derive_seed, generator
@@ -56,6 +57,40 @@ class EmbeddingKind:
     name: str
     dim: int
 
+    def _filler(self, rng: np.random.Generator, total: int) -> Callable:
+        """Distribution._filler's fill(out) for a batch of total // dim rows
+        of the kind from rng: out is a C-contiguous (r, dim) block."""
+        if self.name == "sparse":
+            # every uniform comes before every exponential: the uniforms come
+            # from a copy of the stream (_split), and the exponentials, scale
+            # times standard ones as rng.exponential draws them, reuse their
+            # memory and are masked to +0.0 in place
+            uniforms = _split(rng, total)
+
+            def fill(out):
+                mask = uniforms.random(out=out) < 0.002
+                rng.standard_exponential(out=out)
+                out *= 1.0 / 1.5
+                out *= mask
+
+            return fill
+        if self.name == "binary":
+            return lambda out: np.less(rng.random(out=out), 0.1, out=out)
+        if self.name not in ("dense", "relu"):
+            raise ValueError(f"unknown embedding kind {self.name!r}")
+        scale = 0.15 if self.name == "dense" else 0.3
+
+        def fill(out):
+            rng.standard_normal(out=out)
+            out *= scale
+            out += 0.0  # rng.normal(0, scale) forms 0 + scale * z
+            if self.name == "dense":
+                out /= np.sqrt(np.sum(out * out, axis=1, keepdims=True))
+            else:
+                np.maximum(out, 0.0, out=out)
+
+        return fill
+
 
 DENSE = EmbeddingKind("dense", 384)
 SPARSE = EmbeddingKind("sparse", 5000)
@@ -76,66 +111,14 @@ def kind_by_name(name: str) -> EmbeddingKind:
     raise ValueError(f"unknown embedding kind {name!r}; have " + ", ".join(_KIND_INDEX))
 
 
-def _filler(kind: EmbeddingKind, rng: np.random.Generator, rows: int) -> Callable:
-    """fill(out), which writes the next len(out) rows of the kind's batch of
-    rows rows from rng into out, a C-contiguous (r, dim) block: blocks
-    filled in turn hold the bits of one fill of every row, and no array of
-    all the rows is made."""
-    if kind.name == "sparse":
-        # every uniform comes before every exponential, so stream consumption
-        # is fixed: the uniforms come from a copy of the stream (_split), and
-        # the exponentials, scale times standard ones as rng.exponential
-        # draws them, reuse their memory and are masked to +0.0 in place
-        uniforms = _split(rng, rows * kind.dim)
-
-        def fill(out):
-            mask = uniforms.random(out=out) < 0.002
-            rng.standard_exponential(out=out)
-            out *= 1.0 / 1.5
-            out *= mask
-
-        return fill
-    if kind.name == "binary":
-        return lambda out: np.less(rng.random(out=out), 0.1, out=out)
-    if kind.name not in ("dense", "relu"):
-        raise ValueError(f"unknown embedding kind {kind.name!r}")
-    scale = 0.15 if kind.name == "dense" else 0.3
-
-    def fill(out):
-        rng.standard_normal(out=out)
-        out *= scale
-        out += 0.0  # rng.normal(0, scale) forms 0 + scale * z
-        if kind.name == "dense":
-            out /= np.sqrt(np.sum(out * out, axis=1, keepdims=True))
-        else:
-            np.maximum(out, 0.0, out=out)
-
-    return fill
-
-
-def _chunk_fills(kind: EmbeddingKind, M: int, seed: int) -> list[tuple[Callable, int]]:
-    """(fill, rows) of each chunk of M rows; chunk i draws from stream (seed, i)."""
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    plan = _chunk_plan(M, kind.dim)
-    return [(_filler(kind, generator(seed, index), rows), rows) for index, _, rows in plan]
-
-
 def generate(kind: EmbeddingKind, M: int, seed: int) -> np.ndarray:
     """M rows of the population; chunk i draws from stream (seed, i)."""
-    pieces = _chunk_fills(kind, M, seed)
+    if M < 1:
+        raise ValueError("M must be a positive integer")
     batch = np.empty((M, kind.dim))
-    start = 0
-    for fill, rows in pieces:
-        fill(batch[start : start + rows])
-        start += rows
+    for index, start, rows in _chunk_plan(M, kind.dim):
+        kind._filler(generator(seed, index), rows * kind.dim)(batch[start : start + rows])
     return batch
-
-
-def _batch_log_norms(kind: EmbeddingKind, M: int, seed: int, ps: Sequence[float]) -> np.ndarray:
-    """_log_norms_at(generate(kind, M, seed), ps), bit for bit, from one
-    block of the batch at a time."""
-    return _reduce_blocks(_drawn_blocks(_chunk_fills(kind, M, seed), M, kind.dim), M, ps)
 
 
 @dataclass(frozen=True)
@@ -181,9 +164,12 @@ def concentration_table(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if M < 1:
+        raise ValueError("M must be a positive integer")
     cells: list[TableCell] = []
     for kind in kinds:
-        by_p = _batch_log_norms(kind, M, derive_seed(seed, _KIND_INDEX[kind.name], 0), p_grid)
+        sample = (derive_seed(seed, _KIND_INDEX[kind.name], 0), (kind.dim,), p_grid)
+        (by_p,) = _sample_log_norms(kind, [sample], M, 1)
         for p, log_norms in zip(p_grid, by_p):
             log_mu = _pooled_log_mu(log_norms, p, M * kind.dim)
             inside = _band_count(log_norms, kind.dim, p, log_mu, delta)
@@ -207,10 +193,9 @@ def contrast_table(
         raise ValueError("pairs must be a positive integer")
     cells: list[TableCell] = []
     for kind in kinds:
-        first, second = (
-            _batch_log_norms(kind, pairs, derive_seed(seed, _KIND_INDEX[kind.name], batch), p_grid)
-            for batch in (1, 2)
-        )
+        key = _KIND_INDEX[kind.name]
+        samples = [(derive_seed(seed, key, batch), (kind.dim,), p_grid) for batch in (1, 2)]
+        first, second = _sample_log_norms(kind, samples, pairs, 1)
         for p, l1, l2 in zip(p_grid, first, second):
             valid = l1 > -math.inf
             with np.errstate(over="ignore", invalid="ignore"):

@@ -10,6 +10,8 @@ Distribution._filler).  Each chunk returns the log l_p norms of its rows,
 and the chunks are concatenated in chunk-index order before anything is
 counted or pooled, so results do not depend on worker count or
 scheduling: identical inputs and seed give bit-identical output.  One
+chunk sampler, _sample_log_norms, serves curve cells, contrast pairs and
+the embedding tables.  One
 thread pool serves a whole sweep: curve_sweep hands it every
 chunk of every (p, n) cell at once, largest first, and band_frequency_at
 runs a p bisection on the pool its caller owns, reducing its held sample
@@ -227,31 +229,17 @@ def _log_norms_at(values: np.ndarray, ps: Sequence[float]) -> np.ndarray:
     return _reduce_blocks(blocks, len(rows), ps).reshape(len(ps), *values.shape[:-1])
 
 
-def _drawn_blocks(pieces: Iterable[tuple[Callable, int]], rows: int, n: int) -> Iterator:
-    """|entries| of rows rows of n entries, in the row blocks of _log_norms_at,
-    each filled into one buffer once the last is reduced: no array of all
-    the rows is made.  pieces yields (fill, count) in row order, where fill
-    writes the next rows of its count into a C-contiguous (r, n) block, so a
-    block may take its rows from more than one fill."""
+def _law_blocks(dist: Distribution, rng: np.random.Generator, rows: int, n: int) -> Iterator:
+    """|entries| of dist.draw(rng, (rows, n)), bit for bit, in the row blocks
+    of _log_norms_at, each filled into one buffer once the last is reduced:
+    no array of all the rows is made."""
+    fill = dist._filler(rng, rows * n)
     step = max(1, _BLOCK_ENTRIES // n)
     buffer = np.empty(min(step, rows) * n)
-    pieces = iter(pieces)
-    left = 0
     for start in range(0, rows, step):
         block = buffer[: min(step, rows - start) * n].reshape(-1, n)
-        done = 0
-        while done < len(block):
-            if not left:
-                fill, left = next(pieces)
-            take = min(left, len(block) - done)
-            fill(block[done : done + take])
-            done, left = done + take, left - take
+        fill(block)
         yield np.abs(block, out=block)
-
-
-def _law_blocks(dist: Distribution, rng: np.random.Generator, rows: int, n: int) -> Iterator:
-    """_drawn_blocks of dist.draw(rng, (rows, n)), bit for bit."""
-    return _drawn_blocks([(dist._filler(rng, rows * n), rows)], rows, n)
 
 
 def _log_norms_imputed(
@@ -410,7 +398,8 @@ def _sample_log_norms(
 ) -> list[np.ndarray]:
     """Row log-norms of M draws for each (seed, row shape, ps) sample, at
     each p of its ps and in chunk order: shape (len(ps), M, *shape[:-1]).
-    One pool runs every chunk of every sample, largest first."""
+    One pool runs every chunk of every sample, largest first.  dist is a law
+    or an embedding kind: anything with Distribution's _filler."""
     tasks = [(s, c) for s, x in enumerate(samples) for c in _chunk_plan(M, math.prod(x[1]))]
 
     def one(task: tuple[int, tuple[int, int, int]]) -> np.ndarray:

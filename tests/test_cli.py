@@ -157,6 +157,15 @@ def test_input_errors_exit_one(capsys):
                 "--M", "5"]) == 1  # M too small
 
 
+def test_contrast_with_every_first_norm_zero_exits_one(capsys):
+    # 100 single draws of a law with a 0.999 atom at zero are all zero
+    assert run(["contrast", "--dist", "zeroinflated:a=0.999,base=uniform01", "--n", "1",
+                "--p", "1", "--M", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lpconc: every pair had a zero first norm\n"
+
+
 def test_curve_marks_failed_cells_instead_of_dying(capsys):
     # per-cell errors are data, not a crash: M below the sampler's floor
     code = run(["curve", "--dist", "uniform01", "--p", "1", "--n", "16",

@@ -109,6 +109,15 @@ def test_load_csv_reports_a_digit_separator_as_unparseable(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("digit", ["\uff11", "\u0663"], ids=["full-width-1", "arabic-indic-3"])
+def test_load_csv_reports_a_non_ascii_digit_as_unparseable(tmp_path, digit):
+    # float() reads a full-width 1 as 1.0 and an Arabic-Indic 3 as 3.0;
+    # numpy's reader rejects both, and so must the per-cell loop
+    path = _write(tmp_path, f"x,y\n1,2\n{digit},3\n")
+    with pytest.raises(ValueError, match=f"unparseable cell at row 3, column 'x': '{digit}'"):
+        load_csv(path)
+
+
 # --- C reader against the per-cell oracle -----------------------------------
 
 def _write_bytes(tmp_path, text, name="data.csv"):
@@ -189,6 +198,14 @@ def test_loader_rejects_digit_separators_and_keeps_nonfinite_as_missing(tmp_path
     data = load_csv(path, missing_policy="drop-rows")
     assert data.meta["missing_cells"] == 4 and data.values.tolist() == [[5.0, 6.0]]
     assert taken == [False, False]
+
+
+def test_per_cell_loader_skips_blank_lines(tmp_path, monkeypatch):
+    taken = _routes(monkeypatch)
+    path = _write(tmp_path, "a,b\n1,2\n\n3,NA\n\n4,5\n")
+    data = load_csv(path, missing_policy="drop-rows")
+    assert data.values.tolist() == [[1.0, 2.0], [4.0, 5.0]]
+    assert data.meta["missing_cells"] == 1 and taken == [False]
 
 
 def test_loader_honours_a_marker_that_reads_as_a_number(tmp_path):

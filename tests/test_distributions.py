@@ -527,6 +527,19 @@ def test_load_empirical_column_reads_csv():
         assert emp.atom_at_zero == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0663"], ids=["digit-separator", "arabic-indic-3"])
+def test_empirical_spec_reads_cells_as_the_csv_loader_does(tmp_path, cell):
+    # float() reads 1_0 as 10.0 and an Arabic-Indic 3 as 3.0; the C reader
+    # and load_csv reject both, and a non-numeric first row is a header
+    path = tmp_path / "vals.csv"
+    path.write_text(f"v\n2\n{cell}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"row 3, column 0: '{cell}' is not numeric"):
+        parse_spec(f"empirical:path={path},col=0")
+    path.write_text(f"{cell}\n2\n3\n", encoding="utf-8")
+    emp = parse_spec(f"empirical:path={path},col=0")
+    assert emp.mu_p(1.0) == pytest.approx(2.5)  # the first row read as a header
+
+
 def test_validate_assumptions_flags():
     bounded = validate_assumptions(UniformUnit())
     assert bounded.a1_holds and bounded.a2_holds and bounded.a3_holds

@@ -1,13 +1,14 @@
 """Synthetic embedding populations and their tables."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lpconc import monte_carlo
-from lpconc.cli import _record
+from lpconc.cli import _record, run
 from lpconc.embedding_lab import (
     ALL_KINDS,
     BINARY,
@@ -118,10 +119,11 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.name)
 @pytest.mark.parametrize("block_rows", [5, None])
 def test_tables_keep_their_bits_across_chunk_and_block_boundaries(monkeypatch, kind, block_rows):
-    # chunks of 7 rows; blocks of 5 rows span two chunk streams, and the
-    # default blocks span every chunk of the batch.  Each cell must be the
-    # whole-batch route's: the chunks drawn whole, stacked, then reduced by
-    # _log_norms_at over the same row blocks
+    # chunks of 7 rows, drawn in blocks of 5 rows (5 and 2 per chunk) or in
+    # one block per chunk.  Each cell must be the whole-batch route's: the
+    # chunks drawn whole, stacked, then reduced by _log_norms_at, whose
+    # blocks of 5 rows cross chunk boundaries and whose default block holds
+    # the whole batch
     monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 7 * kind.dim)
     if block_rows:
         monkeypatch.setattr(monte_carlo, "_BLOCK_ENTRIES", block_rows * kind.dim)
@@ -149,6 +151,22 @@ def test_tables_keep_their_bits_across_chunk_and_block_boundaries(monkeypatch, k
         value = float(np.median(rc)) if rc.size else math.nan
         assert row[:2] == (kind.name, p) and row[3:] == (None, int(pairs - valid.sum()))
         assert row[2] == value or (math.isnan(row[2]) and math.isnan(value))
+
+
+def test_tables_run_on_one_thread(monkeypatch):
+    # a pool of chunks or row blocks raised the tables' peak RSS and per-op
+    # time at the sizes they run, so they sample on the calling thread, even
+    # where a batch spans several chunks and the machine has cores to spare
+    monkeypatch.setattr(monte_carlo, "CHUNK_TARGET_ENTRIES", 7 * SPARSE.dim)
+    monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: 4)
+    assert len(monte_carlo._chunk_plan(20, SPARSE.dim)) >= 3
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a table opened a thread pool")
+
+    monkeypatch.setattr(monte_carlo, "ThreadPoolExecutor", no_pool)
+    argv = ["embedsim", "--kinds", "sparse,binary", "--M", "30", "--pairs", "20"]
+    assert run(argv + ["--out", os.devnull]) == 0
 
 
 def test_sparse_tables_hold_a_few_blocks_not_a_batch():

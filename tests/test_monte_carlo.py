@@ -517,6 +517,15 @@ def test_curve_sweep_shape_failed_cells_and_determinism():
     assert again.freq == grid.freq and again.ci_halfwidth == grid.ci_halfwidth
 
 
+def test_curve_sweep_marks_an_all_zero_sample_failed_under_empirical_mu():
+    # 100 single draws of a law with a 0.999 atom at zero are all zero, so
+    # the pooled mean of |x|^p is zero and the cell cannot be normalized
+    law = ZeroInflated(a=0.999, base=UniformUnit())
+    grid = curve_sweep(law, p_grid=[1.0], n_grid=[1], M=100, normalization="empirical-mu")
+    assert grid.failed == ((0, 0, "normalization mean is zero or non-finite for this p"),)
+    assert math.isnan(grid.freq[0][0]) and math.isnan(grid.ci_halfwidth[0][0])
+
+
 @pytest.mark.parametrize("normalization", monte_carlo.NORMALIZATIONS)
 def test_curve_sweep_marks_a_nonpositive_p_failed_under_either_normalization(normalization):
     # empirical-mu has no law mean to reject p <= 0, so the p check alone

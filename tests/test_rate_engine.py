@@ -523,6 +523,19 @@ def test_uniform_rate_monotone_in_delta_and_rejects_atoms():
         uniform_rate(TwoPoint(a=0.5, r=1.0), 0.2, +1)
 
 
+@pytest.mark.parametrize("dist", [UniformUnit(), UniformSymmetric(b=2.0), DiffUniform()],
+                         ids=lambda d: d.spec_string())
+@pytest.mark.parametrize("delta", [0.05, 0.2, 0.5])
+def test_minus_side_uniform_rate_is_a_lower_bound_at_the_small_p_limit(dist, delta):
+    # bounded support brings in the p -> inf limit on the minus side; for
+    # these laws the infimum is still the p -> 0 limit
+    value = uniform_rate(dist, delta, -1)
+    grid = np.geomspace(1e-3, 100.0, 400)
+    assert value <= min(rate(dist, p, delta, -1).value for p in grid)
+    assert value == small_p_rate(dist, delta, -1)
+    assert value < large_p_limits(dist, delta).minus
+
+
 def test_chernoff_bounds_exponential_identity():
     bounds = chernoff_bounds(uniform_f(0.2, +1), uniform_f(0.2, -1), 200)
     assert bounds.upper_tail_bound == pytest.approx(math.exp(-200 * uniform_f(0.2, +1)), rel=1e-12)
